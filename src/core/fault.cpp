@@ -90,7 +90,8 @@ RoutingResult route_greedy_faulted(const GraphView& graph, const Objective& obje
         result.status = RoutingStatus::kDeadEnd;
         return result;
     }
-    std::vector<Vertex> scratch;  // advertised-neighbor merge buffer
+    std::vector<Vertex> adv_scratch;  // advertised-neighbor merge buffer
+    std::vector<double> values;       // the scanned row's (claimed) objectives
     int streak = 0;  // consecutive all-improving-links-down epochs
     while (true) {
         // Arrival before budget (the PR-1 boundary convention), budget
@@ -106,8 +107,12 @@ RoutingResult route_greedy_faulted(const GraphView& graph, const Objective& obje
         }
         const bool holder_lies = adversary.advertises_phantoms(current);
         const std::span<const Vertex> neighborhood =
-            adversary.active() ? adversary.advertised_neighbors(graph, current, scratch)
+            adversary.active() ? adversary.advertised_neighbors(graph, current, adv_scratch)
                                : graph.neighbors(current);
+        // One batched values() call per scan; phi is pure, so evaluating
+        // unusable neighbors too only warms the memo.
+        values.resize(neighborhood.size());
+        objective.values(neighborhood, values.data());
         Vertex next = kNoVertex;
         if (adversary.misroutes(current)) {
             // A misrouting holder ignores the protocol: the packet goes to
@@ -115,14 +120,14 @@ RoutingResult route_greedy_faulted(const GraphView& graph, const Objective& obje
             // (first-min in list order), improving or not.
             double worst_value = 0.0;
             bool any_usable = false;
-            for (const Vertex u : neighborhood) {
+            for (std::size_t i = 0; i < neighborhood.size(); ++i) {
+                const Vertex u = neighborhood[i];
                 if (!faults.usable(current, u)) continue;
                 any_usable = true;
                 if (!faults.link_up(current, u)) continue;
-                const double value = objective.value(u);
-                if (next == kNoVertex || value < worst_value) {
+                if (next == kNoVertex || values[i] < worst_value) {
                     next = u;
-                    worst_value = value;
+                    worst_value = values[i];
                 }
             }
             faults.advance_epoch();
@@ -134,14 +139,14 @@ RoutingResult route_greedy_faulted(const GraphView& graph, const Objective& obje
             const double current_value = objective.value(current);
             double best_value = current_value;
             bool any_improving = false;
-            for (const Vertex u : neighborhood) {
+            for (std::size_t i = 0; i < neighborhood.size(); ++i) {
+                const Vertex u = neighborhood[i];
                 if (!faults.usable(current, u)) continue;  // residual filter
-                const double value = objective.value(u);
-                if (!(value > current_value)) continue;
+                if (!(values[i] > current_value)) continue;
                 any_improving = true;
-                if (faults.link_up(current, u) && value > best_value) {
+                if (faults.link_up(current, u) && values[i] > best_value) {
                     next = u;
-                    best_value = value;
+                    best_value = values[i];
                 }
             }
             faults.advance_epoch();

@@ -1,9 +1,11 @@
 #include "core/gravity_pressure.h"
 
-#include <unordered_map>
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/fault.h"
+#include "core/vertex_table.h"
 
 namespace smallworld {
 
@@ -24,9 +26,7 @@ RoutingResult route_impl(const GraphView& graph, const Objective& objective,
         return result;
     }
 
-    // Audited lookup-only (find/operator[]): per-vertex visit counts are
-    // only queried point-wise, never iterated.
-    std::unordered_map<Vertex, std::size_t> visits;
+    VertexTable<std::size_t> visits;  // pressure-mode visits per vertex
     std::vector<double> scratch;  // batched neighbor objectives, reused per scan
     std::vector<Vertex> adv_scratch;  // advertised-neighbor merge buffer
     bool pressure = false;
@@ -66,78 +66,65 @@ RoutingResult route_impl(const GraphView& graph, const Objective& objective,
                 result.status = RoutingStatus::kDeadEnd;  // isolated liar
                 return result;
             }
-        } else if (!pressure) {
-            Vertex best = kNoVertex;
-            double best_value = 0.0;
-            bool any_neighbor = false;
-            if (!faults.active() && !adversary.active()) {
-                const BestNeighbor bn = objective.best_of(graph.neighbors(current));
-                best = bn.vertex;
-                best_value = bn.value;
-                any_neighbor = best != kNoVertex;
-            } else {
-                // Same first-maximum argmax as best_of, restricted to the
-                // residual neighborhood — and under an adversary run over the
-                // *advertised* row (phantoms included, claimed values). One
-                // batched values() call; phi is pure, so evaluating dead
-                // neighbors changes nothing.
-                const auto neighbors =
-                    adversary.active()
-                        ? adversary.advertised_neighbors(graph, current, adv_scratch)
-                        : graph.neighbors(current);
-                scratch.resize(neighbors.size());
-                objective.values(neighbors, scratch.data());
-                for (std::size_t i = 0; i < neighbors.size(); ++i) {
-                    const Vertex u = neighbors[i];
-                    if (!faults.usable(current, u)) continue;
-                    any_neighbor = true;
-                    const double value = scratch[i];
-                    if (best == kNoVertex || value > best_value) {
-                        best = u;
-                        best_value = value;
-                    }
-                }
-            }
-            if (best != kNoVertex && best_value > objective.value(current)) {
-                next = best;
-            } else if (!any_neighbor) {
-                result.status = RoutingStatus::kDeadEnd;  // isolated in the residual graph
-                return result;
-            } else {
-                pressure = true;
-                escape_value = objective.value(current);
-            }
-        }
-        if (next == kNoVertex && pressure) {
-            ++visits[current];
-            // Least-visited usable neighbor; ties toward higher objective.
-            // Neighbor objectives come from one batched values() call.
-            const auto neighbors =
-                adversary.active()
-                    ? adversary.advertised_neighbors(graph, current, adv_scratch)
-                    : graph.neighbors(current);
+        } else {
+            // One batched values() pass over the advertised row serves the
+            // step: the gravity argmax and, when that finds no improvement
+            // or pressure is already on, the least-visited choice. Under an
+            // adversary the row holds phantoms with claimed values; phi is
+            // pure, so evaluating dead neighbors changes nothing.
+            const std::span<const Vertex> neighbors =
+                adversary.active() ? adversary.advertised_neighbors(graph, current, adv_scratch)
+                                   : graph.neighbors(current);
             scratch.resize(neighbors.size());
             objective.values(neighbors, scratch.data());
-            std::size_t best_visits = 0;
-            double best_value = 0.0;
-            for (std::size_t i = 0; i < neighbors.size(); ++i) {
-                const Vertex u = neighbors[i];
-                if (faults.active() && !faults.usable(current, u)) continue;
-                const auto it = visits.find(u);
-                const std::size_t u_visits = it == visits.end() ? 0 : it->second;
-                const double u_value = scratch[i];
-                if (next == kNoVertex || u_visits < best_visits ||
-                    (u_visits == best_visits && u_value > best_value)) {
-                    next = u;
-                    best_visits = u_visits;
-                    best_value = u_value;
+            const bool faulted = faults.active();
+            if (!pressure) {
+                // best_of's first-maximum argmax over the residual row.
+                Vertex best = kNoVertex;
+                double best_value = 0.0;
+                for (std::size_t i = 0; i < neighbors.size(); ++i) {
+                    if (faulted && !faults.usable(current, neighbors[i])) continue;
+                    if (best == kNoVertex || scratch[i] > best_value) {
+                        best = neighbors[i];
+                        best_value = scratch[i];
+                    }
+                }
+                if (best == kNoVertex) {
+                    result.status = RoutingStatus::kDeadEnd;  // isolated in the residual graph
+                    return result;
+                }
+                const double current_value = objective.value(current);
+                if (best_value > current_value) {
+                    next = best;
+                } else {
+                    pressure = true;
+                    escape_value = current_value;
                 }
             }
-            if (next == kNoVertex) {
-                result.status = RoutingStatus::kDeadEnd;
-                return result;
+            if (pressure) {
+                ++visits[current];
+                // Least-visited usable neighbor; ties toward higher objective.
+                std::size_t best_visits = 0;
+                double best_value = 0.0;
+                for (std::size_t i = 0; i < neighbors.size(); ++i) {
+                    const Vertex u = neighbors[i];
+                    if (faulted && !faults.usable(current, u)) continue;
+                    const std::size_t* count = visits.find(u);
+                    const std::size_t u_visits = count == nullptr ? 0 : *count;
+                    const double u_value = scratch[i];
+                    if (next == kNoVertex || u_visits < best_visits ||
+                        (u_visits == best_visits && u_value > best_value)) {
+                        next = u;
+                        best_visits = u_visits;
+                        best_value = u_value;
+                    }
+                }
+                if (next == kNoVertex) {
+                    result.status = RoutingStatus::kDeadEnd;
+                    return result;
+                }
+                if (best_value > escape_value) pressure = false;
             }
-            if (best_value > escape_value) pressure = false;
         }
         if (faults.transient()) {
             // Send chokepoint: the chosen move is retried verbatim while its

@@ -1,32 +1,127 @@
 #include "core/message_history.h"
 
-#include <deque>
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <optional>
-#include <queue>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "core/check.h"
 #include "core/fault.h"
+#include "core/vertex_table.h"
 
 namespace smallworld {
 
 namespace {
 
-/// Candidate exploration edge (from a visited vertex to an unvisited one),
-/// ordered by objective of the far endpoint; ties toward smaller ids keep
-/// runs deterministic.
+/// Candidate exploration edge (from a visited vertex to an unvisited one).
 struct Candidate {
-    double value;
+    double value;  // objective of the far endpoint
     Vertex from;
     Vertex to;
+};
 
-    bool operator<(const Candidate& other) const noexcept {
-        if (value != other.value) return value < other.value;
-        if (to != other.to) return to > other.to;
-        return from > other.from;
+/// The frontier of unexplored edges, popped in (value desc, `to` asc, `from`
+/// asc) order; an edge whose `to` has been visited since is dead and skipped.
+/// Each first visit records its candidates as one block whose best entry
+/// sits at the front; the rest of a block is heap-ordered only once that
+/// best is used up, so the many candidates a query never pops are written
+/// once and never compared. A heap over blocks, keyed by each block's front
+/// entry, finds the global best.
+class Frontier {
+public:
+    void open_block(Vertex from) {
+        open_begin_ = entries_.size();
+        open_best_ = open_begin_;
+        open_from_ = from;
     }
+    void add(double value, Vertex to) {
+        entries_.push_back({value, to});
+        if (ranks_before(entries_.back(), entries_[open_best_])) {
+            open_best_ = entries_.size() - 1;
+        }
+    }
+    void close_block() {
+        if (entries_.size() == open_begin_) return;
+        std::swap(entries_[open_begin_], entries_[open_best_]);
+        blocks_.push_back({open_begin_, entries_.size(), open_from_, false});
+        heap_.push_back(blocks_.size() - 1);
+        std::push_heap(heap_.begin(), heap_.end(), BlockAfter{this});
+    }
+
+    /// The best live candidate, left in the frontier; nullopt when none is.
+    [[nodiscard]] std::optional<Candidate> top(const auto& visited) {
+        while (!heap_.empty()) {
+            const Block& block = blocks_[heap_.front()];
+            const Entry& entry = entries_[block.begin];
+            if (!visited.contains(entry.to)) return Candidate{entry.value, block.from, entry.to};
+            pop();  // dead: its far endpoint was visited since
+        }
+        return std::nullopt;
+    }
+
+    /// Removes the candidate top() returned.
+    void pop() {
+        const std::size_t b = heap_.front();
+        std::pop_heap(heap_.begin(), heap_.end(), BlockAfter{this});
+        Block& block = blocks_[b];
+        const auto first = entries_.begin() + static_cast<std::ptrdiff_t>(block.begin);
+        const auto last = entries_.begin() + static_cast<std::ptrdiff_t>(block.end);
+        if (!block.heaped) {
+            ++block.begin;
+            std::make_heap(first + 1, last, entry_after);
+            block.heaped = true;
+        } else {
+            std::pop_heap(first, last, entry_after);
+            --block.end;
+        }
+        if (block.begin == block.end) {
+            heap_.pop_back();
+        } else {
+            std::push_heap(heap_.begin(), heap_.end(), BlockAfter{this});
+        }
+    }
+
+private:
+    struct Entry {
+        double value;
+        Vertex to;
+    };
+    /// entries_[begin, end) with the block's best at begin; behind it the
+    /// entries are unordered until `heaped`, a max-heap afterwards.
+    struct Block {
+        std::size_t begin;
+        std::size_t end;
+        Vertex from;
+        bool heaped;
+    };
+
+    static bool ranks_before(const Entry& a, const Entry& b) noexcept {
+        if (a.value != b.value) return a.value > b.value;
+        return a.to < b.to;
+    }
+    static bool entry_after(const Entry& a, const Entry& b) noexcept { return ranks_before(b, a); }
+
+    /// Heap order over blocks: by front entry, then `from` (unique per block).
+    struct BlockAfter {
+        const Frontier* frontier;
+        bool operator()(std::size_t a, std::size_t b) const noexcept {
+            const Block& x = frontier->blocks_[a];
+            const Block& y = frontier->blocks_[b];
+            const Entry& ex = frontier->entries_[x.begin];
+            const Entry& ey = frontier->entries_[y.begin];
+            if (ex.value != ey.value || ex.to != ey.to) return ranks_before(ey, ex);
+            return x.from > y.from;
+        }
+    };
+
+    std::vector<Entry> entries_;
+    std::vector<Block> blocks_;
+    std::vector<std::size_t> heap_;  // block indexes
+    std::size_t open_begin_ = 0;
+    std::size_t open_best_ = 0;
+    Vertex open_from_ = kNoVertex;
 };
 
 class Run {
@@ -49,45 +144,20 @@ public:
             return result_;
         }
         Vertex current = source_;
-        bool first_visit = true;
         while (true) {
             if (current == objective_.target()) {
                 result_.status = RoutingStatus::kDelivered;
                 return result_;
             }
             if (visited_.insert(current).second) {
-                // One batched values() call per frontier fill; phi is pure,
-                // so evaluating dead or already-visited neighbors too changes
-                // nothing beyond warming the memo. Under an adversary the
-                // fill scans the *advertised* row, so phantom links enter the
-                // frontier with their claimed values.
-                const auto neighbors = scan_neighbors(current);
-                scratch_.resize(neighbors.size());
-                objective_.values(neighbors, scratch_.data());
-                for (std::size_t i = 0; i < neighbors.size(); ++i) {
-                    const Vertex u = neighbors[i];
-                    // A dead neighbor never enters the frontier: the protocol
-                    // degrades as if the edge had been explored and
-                    // backtracked, and delivery is judged on the residual
-                    // graph.
-                    if (faults_.active() && !faults_.usable(current, u)) continue;
-                    if (!visited_.contains(u)) {
-                        frontier_.push({scratch_[i], current, u});
-                    }
-                }
-            }
-
-            // (P1) first-visit rule: from a newly visited vertex with a
-            // strictly better neighbor, proceed to the best neighbor.
-            if (first_visit) {
-                const Vertex best = best_usable_neighbor(current);
-                if (best != kNoVertex &&
-                    objective_.value(best) > objective_.value(current)) {
-                    if (!move_to(best)) return result_;
+                // (P1) first-visit rule: from a newly visited vertex with a
+                // strictly better neighbor, proceed to the best neighbor.
+                const BestNeighbor best = record_first_visit(current);
+                if (best.vertex != kNoVertex && best.value > objective_.value(current)) {
+                    if (!move_to(best.vertex)) return result_;
                     // A misrouting holder may have landed the packet
                     // somewhere other than `best`; resync from the trace.
                     current = result_.path.back();
-                    first_visit = !visited_.contains(current);
                     continue;
                 }
             }
@@ -95,7 +165,7 @@ public:
             // Local optimum (or revisit): jump to the globally best
             // unexplored edge, paying for the walk back through the visited
             // subgraph.
-            const auto candidate = pop_best_candidate();
+            const auto candidate = frontier_.top(visited_);
             if (!candidate) {
                 result_.status = RoutingStatus::kExhausted;
                 return result_;
@@ -103,87 +173,87 @@ public:
             if (candidate->from != current) {
                 if (!walk_within_visited(current, candidate->from)) return result_;
                 current = result_.path.back();
-                if (current != candidate->from) {
-                    // Hijacked mid-walk: keep the unexplored edge for a later
-                    // retry and resume the protocol where the packet landed.
-                    frontier_.push(*candidate);
-                    first_visit = !visited_.contains(current);
-                    continue;
-                }
+                // Hijacked mid-walk: the unexplored edge stays in the
+                // frontier for a later retry, and the protocol resumes where
+                // the packet landed.
+                if (current != candidate->from) continue;
             }
+            frontier_.pop();
             if (!move_to(candidate->to)) return result_;
             current = result_.path.back();
-            first_visit = !visited_.contains(current);
         }
     }
 
 private:
+    /// Per visited vertex: the last walk search that reached it, and from where.
+    struct Visit {
+        std::uint32_t walk = 0;
+        Vertex parent = kNoVertex;
+    };
+
     /// The neighborhood the protocol at v decides over: honest adjacency, or
     /// the *advertised* row (phantoms merged) under an active adversary.
-    [[nodiscard]] std::span<const Vertex> scan_neighbors(Vertex v) const {
+    [[nodiscard]] std::span<const Vertex> scan_neighbors(Vertex v) {
         return adversary_.active()
                    ? adversary_.advertised_neighbors(graph_, v, adv_scratch_)
                    : graph_.neighbors(v);
     }
 
-    /// best_neighbor() restricted to the residual neighborhood under an
-    /// active plan; plain best_neighbor() (batched argmax) otherwise.
-    [[nodiscard]] Vertex best_usable_neighbor(Vertex v) const {
-        if (!faults_.active() && !adversary_.active()) {
-            return best_neighbor(graph_, objective_, v);
-        }
+    /// One values() pass over v's advertised row, on v's first visit: files
+    /// every usable neighbor as a frontier candidate and returns the (P1)
+    /// argmax, the first maximum over all usable neighbors. A candidate
+    /// whose far end is already visited is dead on arrival; top() skips it
+    /// like any other dead candidate, which is cheaper than probing the
+    /// visited set per neighbor. A neighbor behind a dead link is skipped by
+    /// both: the protocol degrades as if the edge had been explored and
+    /// backtracked, and delivery is judged on the residual graph. Under an
+    /// adversary, phantom links enter with claimed values.
+    [[nodiscard]] BestNeighbor record_first_visit(Vertex v) {
         const auto neighbors = scan_neighbors(v);
         scratch_.resize(neighbors.size());
         objective_.values(neighbors, scratch_.data());
-        Vertex best = kNoVertex;
-        double best_value = 0.0;
+        const bool faulted = faults_.active();
+        BestNeighbor best;
+        frontier_.open_block(v);
         for (std::size_t i = 0; i < neighbors.size(); ++i) {
             const Vertex u = neighbors[i];
-            if (!faults_.usable(v, u)) continue;
+            if (faulted && !faults_.usable(v, u)) continue;
             const double value = scratch_[i];
-            if (best == kNoVertex || value > best_value) {
-                best = u;
-                best_value = value;
-            }
+            if (best.vertex == kNoVertex || value > best.value) best = {u, value};
+            frontier_.add(value, u);
         }
+        frontier_.close_block();
         return best;
-    }
-
-    /// Lazy-deletion pop: skip entries whose far endpoint got visited since.
-    [[nodiscard]] std::optional<Candidate> pop_best_candidate() {
-        while (!frontier_.empty()) {
-            Candidate top = frontier_.top();
-            frontier_.pop();
-            if (!visited_.contains(top.to)) return top;
-        }
-        return std::nullopt;
     }
 
     /// BFS inside the visited subgraph (always connected: it grows along
     /// traversed edges), appending the walk to the path.
     bool walk_within_visited(Vertex from, Vertex to) {
-        // Audited lookup-only (contains/at): BFS expands the deterministic
-        // visited-subgraph adjacency; the map is never iterated.
-        std::unordered_map<Vertex, Vertex> parent;
-        std::deque<Vertex> queue{from};
-        parent[from] = from;
-        while (!queue.empty()) {
-            const Vertex v = queue.front();
-            queue.pop_front();
+        const std::uint32_t walk = ++walks_;
+        *visited_.find(from) = {walk, from};
+        queue_.assign(1, from);
+        for (std::size_t head = 0; head < queue_.size(); ++head) {
+            const Vertex v = queue_[head];
             if (v == to) break;
             for (const Vertex u : graph_.neighbors(v)) {
                 // Permanent faults only: the visited subgraph grew along
                 // usable edges, so the residual visited subgraph stays
-                // connected and parent.at() below cannot miss.
+                // connected and the search below reaches `to`.
                 if (faults_.active() && !faults_.usable(v, u)) continue;
-                if (!visited_.contains(u) || parent.contains(u)) continue;
-                parent[u] = v;
-                queue.push_back(u);
+                Visit* visit = visited_.find(u);
+                if (visit == nullptr || visit->walk == walk) continue;
+                *visit = {walk, v};
+                queue_.push_back(u);
             }
         }
-        std::vector<Vertex> walk;
-        for (Vertex v = to; v != from; v = parent.at(v)) walk.push_back(v);
-        for (auto it = walk.rbegin(); it != walk.rend(); ++it) {
+        walk_path_.clear();
+        for (Vertex v = to; v != from;) {
+            const Visit& visit = *visited_.find(v);
+            GIRG_CHECK(visit.walk == walk, "walk search missed visited vertex ", v);
+            walk_path_.push_back(v);
+            v = visit.parent;
+        }
+        for (auto it = walk_path_.rbegin(); it != walk_path_.rend(); ++it) {
             if (!move_to(*it)) return false;
             // A misrouting holder diverted the walk; the caller resyncs from
             // the trace and resumes the protocol at the landing vertex.
@@ -266,11 +336,13 @@ private:
     FaultView faults_;        // route-scoped; inactive when no plan is set
     AdversaryView adversary_; // shared-state view; inactive when no plan is set
 
-    // Audited lookup-only (contains/insert): membership probe, never iterated.
-    std::unordered_set<Vertex> visited_;
-    std::priority_queue<Candidate> frontier_;
-    mutable std::vector<double> scratch_;  // batched neighbor objectives
-    mutable std::vector<Vertex> adv_scratch_;  // advertised-neighbor merges
+    VertexTable<Visit> visited_;
+    Frontier frontier_;
+    std::uint32_t walks_ = 0;          // walk searches so far (Visit::walk stamps)
+    std::vector<Vertex> queue_;        // walk search queue
+    std::vector<Vertex> walk_path_;    // walk search result, target first
+    std::vector<double> scratch_;      // batched neighbor objectives
+    std::vector<Vertex> adv_scratch_;  // advertised-neighbor merges
     RoutingResult result_;
 };
 

@@ -102,22 +102,27 @@ void QuantizedObjective::values(std::span<const Vertex> vertices, double* out) c
 ClaimedObjective::ClaimedObjective(const Objective& base, const AdversaryState& adversary)
     : base_(&base),
       adversary_(&adversary),
+      target_(base.target()),
       target_position_(adversary.positions() != nullptr
-                           ? adversary.positions()->point(base.target())
+                           ? adversary.positions()->point(target_)
                            : nullptr) {}
 
+// Honest claims are the truth: claim_factor() is exactly 1.0 for them and
+// x * 1.0 == x, so only byzantine vertices pay for the out-of-line factor.
+// The target's value stays the honest +infinity: delivery is decided by
+// *arrival*, not by a claim, and inf * factor would be NaN-prone anyway.
+
 double ClaimedObjective::value(Vertex v) const {
-    // The target's value stays the honest +infinity: delivery is decided by
-    // *arrival*, not by a claim, and inf * factor would be NaN-prone anyway.
-    if (v == base_->target()) return base_->value(v);
-    return base_->value(v) * adversary_->claim_factor(v, target_position_);
+    const double phi = base_->value(v);
+    if (!adversary_->byzantine(v) || v == target_) return phi;
+    return phi * adversary_->claim_factor(v, target_position_);
 }
 
 void ClaimedObjective::values(std::span<const Vertex> vertices, double* out) const {
     base_->values(vertices, out);
     for (std::size_t i = 0; i < vertices.size(); ++i) {
         const Vertex v = vertices[i];
-        if (v == base_->target()) continue;
+        if (!adversary_->byzantine(v) || v == target_) continue;
         out[i] *= adversary_->claim_factor(v, target_position_);
     }
 }

@@ -169,12 +169,13 @@ public:
     ClaimedObjective(const Objective& base, const AdversaryState& adversary);
 
     [[nodiscard]] double value(Vertex v) const override;
-    [[nodiscard]] Vertex target() const override { return base_->target(); }
+    [[nodiscard]] Vertex target() const override { return target_; }
     void values(std::span<const Vertex> vertices, double* out) const override;
 
 private:
     const Objective* base_;
     const AdversaryState* adversary_;
+    Vertex target_;
     const double* target_position_;  // null when the adversary has no positions
 };
 

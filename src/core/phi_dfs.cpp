@@ -2,10 +2,10 @@
 
 #include <limits>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/fault.h"
+#include "core/vertex_table.h"
 
 namespace smallworld {
 
@@ -67,27 +67,28 @@ public:
                     return result_;
                 }
                 VertexState& st = state_[v];
+                const double phi_v = objective_.value(v);
                 if (st.phi == message_phi_) {
                     // Line 8-9: already visited in the current Phi-DFS:
                     // bounce straight back to where we came from, which then
                     // continues its child scan below this vertex's objective.
                     const Vertex back = last_visited_;
                     last_visited_ = v;
-                    backtrack_upper_ = objective_.value(v);
+                    backtrack_upper_ = phi_v;
                     op = Op::kBacktrack;
                     maybe_prefetch(back);
                     v = back;
                     continue;
                 }
-                // Lines 10-13.
-                const double phi_v = objective_.value(v);
-                if (phi_v > best_seen_) set_new_phi(v, phi_v);
+                // Lines 10-17 read one argmax over v's row: SET_NEW_PHI's
+                // test and the descent (line 15) share it.
+                const BestNeighbor best = best_any_neighbor(v);
+                if (phi_v > best_seen_) set_new_phi(st, phi_v, best);
                 // INIT_VERTEX(v): mark as visited in the current Phi-DFS.
                 st.phi = message_phi_;
                 st.parent = last_visited_;
                 // Lines 14-17: descend to the best neighbor if any neighbor
                 // reaches the current Phi; otherwise backtrack.
-                const BestNeighbor best = best_any_neighbor(v);
                 if (best.vertex != kNoVertex && best.value >= message_phi_) {
                     last_visited_ = v;
                     maybe_prefetch(best.vertex);
@@ -96,7 +97,7 @@ public:
                 }
                 const Vertex back = last_visited_;
                 last_visited_ = v;
-                backtrack_upper_ = objective_.value(v);
+                backtrack_upper_ = phi_v;
                 op = Op::kBacktrack;
                 maybe_prefetch(back);
                 v = back;
@@ -167,12 +168,10 @@ private:
         if (prefetch_) graph_.prefetch_neighbors(v);
     }
 
-    /// SET_NEW_PHI(v, m), lines 30-35.
-    void set_new_phi(Vertex v, double phi_v) {
+    /// SET_NEW_PHI(v, m), lines 30-35, given v's state and best neighbor.
+    void set_new_phi(VertexState& st, double phi_v, const BestNeighbor& best) {
         best_seen_ = phi_v;
-        const BestNeighbor best = best_any_neighbor(v);
         if (best.vertex != kNoVertex && best.value >= phi_v) {
-            VertexState& st = state_[v];
             st.started_new_dfs = true;
             st.previous_phi = message_phi_;
             message_phi_ = phi_v;
@@ -312,9 +311,7 @@ private:
     FaultView faults_;        // route-scoped; inactive when no plan is set
     AdversaryView adversary_; // shared-state view; inactive when no plan is set
 
-    // Audited lookup-only (operator[]/find): never iterated, so hash order
-    // cannot reach the DFS decisions or any reported statistic.
-    std::unordered_map<Vertex, VertexState> state_;
+    VertexTable<VertexState> state_;  // the vertices this query touched
     mutable std::vector<double> scratch_;  // neighbor objectives, reused per scan
     mutable std::vector<Vertex> adv_scratch_;  // advertised-neighbor merges
     double best_seen_ = kNegInf;

@@ -96,6 +96,10 @@ Girg load_pack_attributes(const PackedGraph& pack) {
     girg.positions.coords.assign(coords.begin(), coords.end());
     GIRG_CHECK(girg.positions.count() == pack.num_vertices(),
                "pack attribute sections disagree with the vertex count");
+    // Routing reads the copies; the mapped pages behind them need not stay
+    // resident.
+    pack.release_pages(pack.section(PackSection::kWeights));
+    pack.release_pages(pack.section(PackSection::kPositions));
     return girg;
 }
 

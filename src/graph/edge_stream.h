@@ -176,17 +176,28 @@ public:
         return {c.data, c.size};
     }
 
-    /// Frees chunk i's storage (its span must no longer be read). The CSR
-    /// scatter pass calls this per consumed chunk so edge memory drains
-    /// while the adjacency array fills.
+    /// Frees chunk i's storage (its span must no longer be read) and drops
+    /// its edges from size().
     void retire_chunk(std::size_t i) noexcept {
+        size_ -= chunks_[i].size;
+        release_chunk(i);
+    }
+
+    /// retire_chunk() for concurrent drains: frees chunk i's storage but
+    /// leaves the list-wide size() alone, so parallel workers each write
+    /// only their own chunk (the arena locks itself). The CSR scatter pass
+    /// calls this per consumed chunk so edge memory drains while the
+    /// adjacency array fills, then mark_drained() once its workers joined.
+    void release_chunk(std::size_t i) noexcept {
         EdgeArena::Chunk& c = chunks_[i];
         if (c.data == nullptr) return;
-        size_ -= c.size;
         arena_->retire(c);
         c.data = nullptr;
         c.size = 0;
     }
+
+    /// Records that every chunk was released: size() becomes 0.
+    void mark_drained() noexcept { size_ = 0; }
 
     /// Appends `other`'s chunks, preserving order. Both lists must share one
     /// arena (the per-task sinks of one sampling run do).

@@ -142,9 +142,10 @@ Graph::Graph(Vertex num_vertices, ChunkedEdgeList&& edges, unsigned threads) {
         chunks,
         [&](std::size_t ci) {
             for (const auto& edge : edges.chunk(ci)) scatter_edge(edge);
-            edges.retire_chunk(ci);
+            edges.release_chunk(ci);
         },
         threads);
+    edges.mark_drained();
 
     finish_offsets_after_scatter();
     sort_rows_and_dedup(threads);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <span>
 #include <string>
@@ -99,6 +100,9 @@ PackWriter::~PackWriter() {
 }
 
 void PackWriter::write_bytes(const void* data, std::size_t bytes) {
+    // An empty row has no storage: fwrite's pointer must be non-null even
+    // for a zero-byte write.
+    if (bytes == 0) return;
     GIRG_CHECK(std::fwrite(data, 1, bytes, file_) == bytes, "pack write failed to ",
                path_, ": ", std::strerror(errno));
 }
@@ -314,6 +318,18 @@ int PackedGraph::dim() const {
     if (has_params()) return static_cast<int>(params().dim);
     const std::size_t n = header_->num_vertices;
     return n == 0 ? 1 : static_cast<int>(coords().size() / n);
+}
+
+void PackedGraph::release_pages(std::span<const std::uint8_t> bytes) const noexcept {
+    if (bytes.empty()) return;
+    const auto begin = reinterpret_cast<std::uintptr_t>(bytes.data());
+    const std::uintptr_t end = begin + bytes.size();
+    const auto base = reinterpret_cast<std::uintptr_t>(base_);
+    GIRG_CHECK(begin >= base && end <= base + mapped_bytes_, "release_pages outside the mapping");
+    const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+    const std::uintptr_t first = (begin + page - 1) / page * page;
+    const std::uintptr_t last = end / page * page;
+    if (first < last) ::madvise(reinterpret_cast<void*>(first), last - first, MADV_DONTNEED);
 }
 
 std::span<const std::size_t> PackedGraph::offsets() const noexcept {

@@ -245,6 +245,11 @@ public:
     [[nodiscard]] int dim() const;  // from params, or coords size / n
     [[nodiscard]] std::span<const std::size_t> offsets() const noexcept;
 
+    /// Drops the resident pages lying wholly inside `bytes`, a range of this
+    /// mapping (e.g. a section already copied out). The mapping is read-only
+    /// and private, so a later read re-faults the same bytes from the file.
+    void release_pages(std::span<const std::uint8_t> bytes) const noexcept;
+
     /// Zero-copy view of a raw pack (aborts on a compressed one).
     [[nodiscard]] GraphView view() const;
     /// View decoding through `scratch` (resized to max_degree here); the

@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -177,6 +178,82 @@ INSTANTIATE_TEST_SUITE_P(RawAndCompressed, PackRoundTrip, ::testing::Bool(),
                          [](const auto& info) {
                              return info.param ? "compressed" : "raw";
                          });
+
+// Empty rows have no storage to write: a zero-byte write must not hand
+// fwrite a null pointer (which the compressed writer's still-unallocated
+// encode buffer and an edgeless raw adjacency both are), and an empty row
+// must read back empty.
+class PackIsolatedVertices : public ::testing::TestWithParam<bool> {};
+
+/// n = 8 with vertices 0, 1, 4 and 7 isolated — empty rows at the front, in
+/// the middle and at the end — or, without edges, every vertex isolated.
+Girg isolated_girg(bool with_edges) {
+    Girg girg;
+    girg.params = pack_params(8);
+    girg.positions.dim = 2;
+    for (Vertex v = 0; v < 8; ++v) {
+        girg.weights.push_back(2.0 + v);
+        girg.positions.coords.push_back(0.125 * v);
+        girg.positions.coords.push_back(0.5);
+    }
+    std::vector<Edge> edges;
+    if (with_edges) edges = {{2, 3}, {3, 5}, {2, 6}, {5, 6}};
+    girg.graph = Graph(8, edges);
+    return girg;
+}
+
+TEST_P(PackIsolatedVertices, EmptyRowsRoundTrip) {
+    const bool compress = GetParam();
+    for (const bool with_edges : {false, true}) {
+        SCOPED_TRACE(with_edges ? "isolated vertices among edges" : "no edges at all");
+        const Girg girg = isolated_girg(with_edges);
+        const std::string path = temp_pack_path("isolated.girgpack");
+        (void)write_girg_pack(path, girg, {compress, 3});
+
+        const PackedGraph pack(path);
+        pack.verify();
+        EXPECT_EQ(pack.fingerprint(), girg_fingerprint(girg));
+        EXPECT_EQ(pack.num_edges(), girg.graph.num_edges());
+        NeighborScratch scratch;
+        const GraphView view = pack.view(scratch);
+        for (Vertex v = 0; v < girg.num_vertices(); ++v) {
+            const auto expected = girg.graph.neighbors(v);
+            const auto actual = view.neighbors(v);
+            EXPECT_TRUE(std::equal(actual.begin(), actual.end(), expected.begin(),
+                                   expected.end()))
+                << "row " << v;
+        }
+        const Girg loaded = load_pack_attributes(pack);
+        EXPECT_EQ(loaded.weights, girg.weights);
+        EXPECT_EQ(loaded.positions.coords, girg.positions.coords);
+        std::remove(path.c_str());
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(RawAndCompressed, PackIsolatedVertices, ::testing::Bool(),
+                         [](const auto& info) {
+                             return info.param ? "compressed" : "raw";
+                         });
+
+TEST(PackRoundTrip, AttributeSectionsReadBackAfterTheirPagesAreReleased) {
+    // load_pack_attributes drops the resident pages behind the sections it
+    // copied (48 KB of weights, 96 KB of positions: whole pages); the
+    // private read-only mapping re-faults the same bytes on the next read.
+    const Girg girg = generate_girg(pack_params(6000), 17);
+    const std::string path = temp_pack_path("release.girgpack");
+    (void)write_girg_pack(path, girg, {false, 17});
+    const PackedGraph pack(path);
+    const Girg loaded = load_pack_attributes(pack);
+    EXPECT_EQ(loaded.weights, girg.weights);
+    EXPECT_EQ(loaded.positions.coords, girg.positions.coords);
+    const auto weights = pack.weights();
+    const auto coords = pack.coords();
+    EXPECT_TRUE(std::equal(weights.begin(), weights.end(), loaded.weights.begin(),
+                           loaded.weights.end()));
+    EXPECT_TRUE(std::equal(coords.begin(), coords.end(), loaded.positions.coords.begin(),
+                           loaded.positions.coords.end()));
+    std::remove(path.c_str());
+}
 
 TEST(PackRoundTrip, WriterIsDeterministic) {
     const Girg girg = generate_girg(pack_params(600), 5);
