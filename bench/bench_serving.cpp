@@ -11,10 +11,13 @@
 //
 // on one cached instance and counter-seeded query sets, reporting delivery
 // rate, makespan (clock_end), event and wake counts, heap/queue high-water
-// marks and queue drops. The event loop is the serialization point and
-// setup threads only build per-target objectives, so every cell is re-run
-// at 1/2/8 threads and the full results (statuses, paths, clocks, per-node
-// counters) are asserted bit-identical before anything is written.
+// marks and queue drops. simulate_many decides every walk target by target
+// (one objective alive at a time) and then replays the event clock, all on
+// the calling thread. Every cell still runs three times, with
+// ServingOptions::threads at 1/2/8 (which simulate_many ignores) and one
+// recycled memo pool, and the full results (statuses, paths, clocks,
+// per-node counters) are asserted bit-identical before anything is
+// written.
 //
 // `--sweep [output.json]` writes BENCH_serving.json; `--smoke` shrinks the
 // instance so CI can execute the full code path in seconds.
@@ -40,9 +43,9 @@ namespace {
 
 TargetObjectiveFactory factory_for(const Girg& girg) {
     // Cohort-shared memo pool: simulate_many builds one objective per
-    // distinct target; the pool recycles their memo tables across cells so
-    // repeated sweeps skip the O(n) NaN refill. Locked, and pure phi keeps
-    // results independent of pooling.
+    // distinct target, one at a time; the pool recycles their memo tables
+    // across targets and cells so repeated sweeps skip the O(n) NaN refill.
+    // Locked, and pure phi keeps results independent of pooling.
     const auto pool = std::make_shared<PhiMemoPool>();
     return [&girg, pool](Vertex target) -> std::unique_ptr<Objective> {
         PhiOptions options;
@@ -228,9 +231,9 @@ int run_sweep(const std::string& output_path, bool smoke) {
         options.seed = 83003;
 
         // The determinism contract, asserted cell by cell: identical full
-        // results at 1, 2 and 8 setup threads. One factory across the three
-        // runs, so the pool-recycled memo tables are covered by the
-        // fingerprint identity too.
+        // results on three runs with threads = 1, 2 and 8 (ignored by
+        // simulate_many). One factory across the three runs, so the
+        // pool-recycled memo tables are covered by the fingerprint identity.
         const auto factory = factory_for(girg);
         ServingResult result;
         std::uint64_t fp = 0;

@@ -1,6 +1,5 @@
 #include "distributed/latency.h"
 
-
 #include "core/check.h"
 #include "core/fault.h"
 #include "geometry/torus.h"
@@ -10,8 +9,14 @@ namespace smallworld {
 
 LinkLatency::LinkLatency(const LatencyModel& model, const PointCloud* positions)
     : model_(model), positions_(positions) {
-    GIRG_CHECK(model.ticks_per_unit_distance >= 0.0,
-               "LatencyModel: ticks_per_unit_distance=", model.ticks_per_unit_distance);
+    // Torus distances are at most 1/2, so with 0.5 * rate below 2^64 every
+    // distance term converts to SimTime without overflow (UB for doubles).
+    // NaN fails both comparisons and +inf the second.
+    constexpr double kSimTimeLimit = 18446744073709551616.0;  // 2^64
+    const double rate = model.ticks_per_unit_distance;
+    GIRG_CHECK(rate >= 0.0 && 0.5 * rate < kSimTimeLimit,
+               "LatencyModel: ticks_per_unit_distance=", rate,
+               " must be finite, non-negative and below 2^65");
     GIRG_CHECK(model.kind != LatencyKind::kDistanceProportional || positions != nullptr,
                "LatencyModel: kDistanceProportional needs vertex positions");
 }

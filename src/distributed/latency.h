@@ -15,7 +15,7 @@ namespace smallworld {
 enum class LatencyKind : std::uint8_t {
     /// Every send takes exactly `base_ticks`.
     kConstant,
-    /// `base_ticks + round(ticks_per_unit_distance * torus distance)`:
+    /// `base_ticks + floor(ticks_per_unit_distance * torus distance)`:
     /// geometrically embedded links are slower the longer they reach —
     /// the weak-tie long-range contacts cost what they save in hops.
     /// Requires positions (ServingOptions::positions).

@@ -3,46 +3,33 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <numeric>
+#include <optional>
 #include <span>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/adversary.h"
 #include "core/check.h"
-#include "core/fault.h"
-#include "core/thread_pool.h"
 #include "distributed/queue.h"
 
 namespace smallworld {
 
 namespace {
 
-/// Everything one in-flight query owns. The message payload lives here (a
-/// node queue holds only the query id), as do the per-query fault stream and
-/// the per-wake protocol state, so queries interact exclusively through
-/// simulated time: queue waits, service order, and capacity drops.
-struct QueryRun {
-    ProtocolMessage message;
-    DistributedResult result;
-    // Audited lookup-only (operator[]/size): one slot per woken node; the
-    // event loop drives the order, the map is never iterated.
-    std::unordered_map<Vertex, NodeSlot> slots;
-    FaultView faults;
-    const Objective* objective = nullptr;
-    std::uint64_t send_attempt = 0;  ///< message-loss counter (chokepoint)
-    std::uint32_t sends = 0;         ///< successful forwards (latency keying)
-    bool done = false;
-};
-
 /// Mutable per-node serving state; drained into ServingTelemetry at the end.
 struct NodeState {
     NodeQueue queue;
-    SimTime next_free = 0;      ///< first tick the node can serve again
-    bool wake_scheduled = false;  ///< exactly one pending kWake per busy node
-    std::uint32_t wakes = 0;
+    SimTime next_free = 0;  ///< first tick the node can serve again
     SimTime busy_ticks = 0;
+    std::uint32_t wakes = 0;
+    bool wake_scheduled = false;  ///< exactly one pending kWake per busy node
 };
+
+/// Protocol wakes of a decided walk: every wake is one on_wake (or misroute)
+/// call or one charged retry of the send chokepoint.
+std::size_t decided_wakes(const DistributedResult& walk) noexcept {
+    return walk.telemetry.wakes - walk.telemetry.retries;
+}
 
 }  // namespace
 
@@ -55,110 +42,73 @@ ServingResult simulate_many(const GraphView& graph, const TargetObjectiveFactory
         GIRG_CHECK(q.source < n && q.target < n, "simulate_many: query (", q.source,
                    " -> ", q.target, ") out of range for n=", n);
     }
-
-    // One objective per *distinct* target, shared by every query routing to
-    // it — the cohort seam: all queries toward a target share one memo table
-    // (and, for girg objectives, the graph's SoA attribute view), and all
-    // evaluation happens on the event loop, so the single-threaded objective
-    // contract holds. Construction (the expensive part for memoizing
-    // objectives) fans out over setup workers; each build is independent and
-    // lands at a deterministic index, so the thread count cannot leak into
-    // results.
-    std::vector<Vertex> targets;
-    targets.reserve(queries.size());
-    for (const ServingQuery& q : queries) targets.push_back(q.target);
-    std::sort(targets.begin(), targets.end());
-    targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
-    std::vector<std::unique_ptr<Objective>> objectives(targets.size());
-    parallel_for(
-        targets.size(), [&](std::size_t i) { objectives[i] = factory(targets[i]); },
-        options.threads);
-
+    GIRG_CHECK(queries.size() < kNoQuery, "simulate_many: ", queries.size(),
+               " queries exceed the QueryId range");
+    const LinkLatency latency(options.latency, options.positions);
     const FaultState* fault_state =
         options.faults != nullptr ? options.faults : options.routing.faults;
     const AdversaryState* adversary_state =
         options.adversary != nullptr ? options.adversary : options.routing.adversary;
-    const AdversaryView adversary(
-        adversary_state != nullptr && adversary_state->plan().any() ? adversary_state
-                                                                    : nullptr);
-    // Byzantine regime: every wake evaluates what vertices *claim*. One
-    // claimed decorator per distinct target, over the honest cohort-shared
-    // objective (reserve pins the addresses run.objective captures).
-    std::vector<ClaimedObjective> claimed;
-    if (adversary.active()) {
-        claimed.reserve(targets.size());
-        for (std::size_t i = 0; i < targets.size(); ++i) {
-            claimed.emplace_back(*objectives[i], *adversary_state);
+    if (adversary_state != nullptr && !adversary_state->plan().any()) {
+        adversary_state = nullptr;
+    }
+    const bool bounded = options.queue_capacity != 0;
+
+    ServingResult out;
+    out.queries.resize(queries.size());
+
+    // Phase 1, decide. A query's walk depends only on its own message and
+    // slots, its own fault stream (nonce = batch index) and the static
+    // adversary, never on other queries; timing only orders events and
+    // decides capacity drops. So each query walks to completion with the
+    // lockstep simulator, target by target: one objective is alive at a
+    // time, and its memo serves every query toward its target. Bounded
+    // queues also keep the telemetry as of each arrival a walk causes, for
+    // the queries phase 2 refuses.
+    std::vector<SimulationTelemetry> arrivals;
+    std::vector<std::size_t> first_arrival(bounded ? queries.size() : 0);
+    std::vector<QueryId> order(queries.size());
+    std::iota(order.begin(), order.end(), QueryId{0});
+    std::stable_sort(order.begin(), order.end(), [&](QueryId a, QueryId b) {
+        return queries[a].target < queries[b].target;
+    });
+    for (std::size_t begin = 0; begin < order.size();) {
+        const Vertex target = queries[order[begin]].target;
+        const std::unique_ptr<Objective> honest = factory(target);
+        GIRG_CHECK(honest != nullptr && honest->target() == target,
+                   "simulate_many: the factory must return an objective bound to target ",
+                   target);
+        // Byzantine regime: every wake evaluates what vertices *claim*.
+        std::optional<ClaimedObjective> claimed;
+        if (adversary_state != nullptr) claimed.emplace(*honest, *adversary_state);
+        const Objective& objective = claimed ? *claimed : *honest;
+        for (; begin < order.size() && queries[order[begin]].target == target; ++begin) {
+            const QueryId i = order[begin];
+            if (bounded) first_arrival[i] = arrivals.size();
+            out.queries[i] = detail::simulate_impl(
+                graph, objective, protocol, queries[i].source, options.routing,
+                fault_state, i, adversary_state, bounded ? &arrivals : nullptr);
         }
     }
-    const std::size_t max_steps = options.routing.effective_max_steps(n);
-    const LinkLatency latency(options.latency, options.positions);
 
+    // Phase 2, time. Each wake reads its decided outcome: wake k of a query
+    // forwards to path[k + 1] with send index k, and its last wake ends it
+    // (a hop it put on the path may have been swallowed). Every push happens
+    // where a wake that ran the protocol would make it, so the event order,
+    // salts and send keys are those of the event model (DESIGN.md §10).
     std::vector<NodeState> nodes(n);
-    if (options.queue_capacity != 0) {
+    if (bounded) {
         for (NodeState& node : nodes) node.queue.set_capacity(options.queue_capacity);
     }
-
+    std::vector<QueryId> links(queries.size());       // NodeQueue successors
+    std::vector<std::size_t> served(queries.size());  // wakes served per query
     EventQueue events(options.seed);
-    std::vector<QueryRun> runs(queries.size());
-    ServingResult out;
 
-    // Residual neighborhood of the awake node, rebuilt per wake into
-    // loop-owned storage (the event loop is sequential, so one scratch
-    // buffer serves every query).
-    std::vector<Vertex> visible_scratch;
-    std::vector<Vertex> adv_scratch;
-    const auto visible = [&](QueryRun& run, Vertex v) -> std::span<const Vertex> {
-        const bool lies = adversary.advertises_phantoms(v);
-        if (!run.faults.active() && !lies) return graph.neighbors(v);
-        const auto base = lies ? adversary.advertised_neighbors(graph, v, adv_scratch)
-                               : graph.neighbors(v);
-        if (!run.faults.active()) return base;
-        visible_scratch.clear();
-        for (const Vertex u : base) {
-            if (run.faults.usable(v, u)) {
-                visible_scratch.push_back(u);
-            } else {
-                ++run.result.telemetry.skipped_dead_neighbors;
-            }
-        }
-        return visible_scratch;
-    };
-
-    const auto finish = [](QueryRun& run, RoutingStatus status) {
-        run.result.routing.status = status;
-        run.result.telemetry.slots_touched = run.slots.size();
-        run.done = true;
-    };
-
-    // Injection, in batch order: query i draws from fault stream nonce i, so
-    // query 0 replays the lockstep simulator's draws bit for bit.
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-        const ServingQuery& q = queries[i];
-        QueryRun& run = runs[i];
-        run.result.routing.path.push_back(q.source);
-        const auto it = std::lower_bound(targets.begin(), targets.end(), q.target);
-        const auto target_index = static_cast<std::size_t>(it - targets.begin());
-        run.objective = adversary.active()
-                            ? static_cast<const Objective*>(&claimed[target_index])
-                            : objectives[target_index].get();
-        run.faults = FaultView(fault_state, q.source, static_cast<std::uint64_t>(i));
-
-        if (run.faults.active() && !run.faults.vertex_alive(q.source) &&
-            q.source != q.target) {
-            // A crashed source never wakes: no slot touched, nothing sent,
-            // no event scheduled (lockstep parity).
-            run.result.routing.status = RoutingStatus::kDeadEnd;
-            run.done = true;
-            continue;
-        }
-
-        run.message.target = q.target;
-        const auto nbrs = visible(run, q.source);
-        const LocalView view(graph, *run.objective, q.source,
-                             &run.result.telemetry.locality_violations, nbrs);
-        protocol.on_start(view, run.message, run.slots[q.source]);
-        events.push(q.start_time, EventKind::kArrival, q.source, static_cast<QueryId>(i));
+    // Injection, in batch order. A crashed source never wakes: nothing is
+    // scheduled (lockstep parity).
+    for (QueryId i = 0; i < queries.size(); ++i) {
+        if (decided_wakes(out.queries[i]) == 0) continue;
+        events.push(queries[i].start_time, EventKind::kArrival, queries[i].source, i);
     }
 
     while (!events.empty()) {
@@ -168,12 +118,17 @@ ServingResult simulate_many(const GraphView& graph, const TargetObjectiveFactory
         NodeState& node = nodes[e.node];
 
         if (e.kind == EventKind::kArrival) {
-            QueryRun& run = runs[e.query];
-            if (!node.queue.push(e.query)) {
+            if (!node.queue.push(e.query, links)) {
                 // Full inbound queue: the landing message is refused and the
-                // query dies where it stood (the packet is the query).
-                ++run.result.telemetry.queue_drops;
-                finish(run, RoutingStatus::kDeadEnd);
+                // query dies where it stood (the packet is the query), with
+                // the telemetry it had when this arrival was caused.
+                DistributedResult& run = out.queries[e.query];
+                const std::size_t arrival = served[e.query];
+                run.telemetry = arrivals[first_arrival[e.query] + arrival];
+                run.telemetry.queue_drops = 1;
+                run.routing.status = RoutingStatus::kDeadEnd;
+                run.routing.path.resize(arrival + 1);
+                run.routing.retries = run.telemetry.retries;
                 continue;
             }
             if (!node.wake_scheduled) {
@@ -187,111 +142,21 @@ ServingResult simulate_many(const GraphView& graph, const TargetObjectiveFactory
         // kWake: serve exactly one queued message, then go busy for the
         // service interval.
         node.wake_scheduled = false;
-        const QueryId qid = node.queue.pop();
-        QueryRun& run = runs[qid];
+        const QueryId qid = node.queue.pop(links);
         ++node.wakes;
         node.busy_ticks += options.service_ticks;
         node.next_free = e.time + options.service_ticks;
 
-        const Vertex self = e.node;
-        ++run.result.telemetry.wakes;
-        const auto nbrs = visible(run, self);
-        Action action;
-        if (adversary.misroutes(self) && self != run.message.target) {
-            // A byzantine holder never runs the honest protocol: the packet
-            // goes to its *worst* visible neighbor by claimed value
-            // (first-min in span order); slot state stays untouched.
-            Vertex worst = kNoVertex;
-            double worst_value = 0.0;
-            for (const Vertex u : nbrs) {
-                const double value = run.objective->value(u);
-                if (worst == kNoVertex || value < worst_value) {
-                    worst = u;
-                    worst_value = value;
-                }
-            }
-            if (worst == kNoVertex) {
-                action = Action::drop();  // isolated liar
-            } else {
-                action = Action::forward(worst);
-                ++run.result.telemetry.misroutes_observed;
-            }
-        } else {
-            const LocalView view(graph, *run.objective, self,
-                                 &run.result.telemetry.locality_violations, nbrs);
-            action = protocol.on_wake(view, run.message, run.slots[self]);
-        }
-        switch (action.kind) {
-            case ActionKind::kDeliver:
-                finish(run, RoutingStatus::kDelivered);
-                break;
-            case ActionKind::kDrop:
-                finish(run, RoutingStatus::kDeadEnd);
-                break;
-            case ActionKind::kExhaust:
-                finish(run, RoutingStatus::kExhausted);
-                break;
-            case ActionKind::kForward: {
-                if (!std::binary_search(nbrs.begin(), nbrs.end(), action.next)) {
-                    ++run.result.telemetry.illegal_forwards;
-                    finish(run, RoutingStatus::kDeadEnd);
-                    break;
-                }
-                if (run.faults.active()) {
-                    // Same chokepoint as the lockstep simulator: in-wake
-                    // retries consume budget but no simulated time (latency
-                    // is paid by the send that finally gets through).
-                    bool failed = false;
-                    switch (detail::faulted_send(run.faults, run.send_attempt, self,
-                                                 action.next, max_steps,
-                                                 run.result.routing,
-                                                 run.result.telemetry)) {
-                        case detail::SendOutcome::kSent:
-                            break;
-                        case detail::SendOutcome::kDroppedInFlight:
-                            finish(run, RoutingStatus::kDeadEnd);
-                            failed = true;
-                            break;
-                        case detail::SendOutcome::kBudgetExhausted:
-                            finish(run, RoutingStatus::kStepLimit);
-                            failed = true;
-                            break;
-                    }
-                    if (failed) break;
-                }
-                ++run.result.telemetry.messages_sent;
-                run.result.routing.path.push_back(action.next);
-                // Byzantine packet kills, in the same order as simulate_impl
-                // (lockstep parity): phantom swallow, then blackhole, then
-                // the budget check.
-                if (adversary.advertises_phantoms(self) &&
-                    AdversaryView::phantom_link(graph, self, action.next)) {
-                    ++run.result.telemetry.audit_flags;
-                    finish(run, RoutingStatus::kDeadEnd);
-                    break;
-                }
-                if (action.next != run.message.target &&
-                    adversary.blackholes(action.next)) {
-                    ++run.result.telemetry.audit_flags;
-                    finish(run, RoutingStatus::kDeadEnd);
-                    break;
-                }
-                // Arrival beats budget, exactly as in simulate_impl: the
-                // delivering hop is exempt from the budget check.
-                if (action.next != run.message.target &&
-                    run.result.routing.steps() + run.result.routing.retries >=
-                        max_steps) {
-                    finish(run, RoutingStatus::kStepLimit);
-                    break;
-                }
-                // Key the latency draw by (query, per-query send index) so
-                // concurrent queries crossing one edge jitter independently.
-                const std::uint64_t send_key =
-                    (static_cast<std::uint64_t>(qid) << 32) | run.sends++;
-                events.push(e.time + latency.delay(self, action.next, send_key),
-                            EventKind::kArrival, action.next, qid);
-                break;
-            }
+        const DistributedResult& run = out.queries[qid];
+        const std::size_t wake = served[qid]++;
+        if (wake + 1 < decided_wakes(run)) {
+            // Key the latency draw by (query, per-query send index) so
+            // concurrent queries crossing one edge jitter independently.
+            const Vertex next = run.routing.path[wake + 1];
+            const std::uint64_t send_key = (static_cast<std::uint64_t>(qid) << 32) |
+                                           static_cast<std::uint32_t>(wake);
+            events.push(e.time + latency.delay(e.node, next, send_key), EventKind::kArrival,
+                        next, qid);
         }
 
         if (!node.queue.empty()) {
@@ -300,6 +165,10 @@ ServingResult simulate_many(const GraphView& graph, const TargetObjectiveFactory
         }
     }
 
+    for (QueryId i = 0; i < queries.size(); ++i) {
+        GIRG_CHECK(served[i] == decided_wakes(out.queries[i]), "simulate_many: query ", i,
+                   " still in flight after the event heap drained");
+    }
     out.serving.events_scheduled = events.scheduled();
     out.serving.heap_high_water = events.high_water();
     out.serving.node_wakes.resize(n);
@@ -316,13 +185,6 @@ ServingResult simulate_many(const GraphView& graph, const TargetObjectiveFactory
         out.serving.total_wakes += node.wakes;
         out.serving.queue_drops += node.queue.drops();
         out.serving.busy_ticks_total += node.busy_ticks;
-    }
-
-    out.queries.resize(runs.size());
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        GIRG_CHECK(runs[i].done, "simulate_many: query ", i,
-                   " still in flight after the event heap drained");
-        out.queries[i] = std::move(runs[i].result);
     }
     return out;
 }

@@ -24,6 +24,12 @@ namespace smallworld {
 /// move for move (tested); with thousands of queries it is the "millions of
 /// users" serving story: queue depths, drops, wake counts, and busy time
 /// become the measured quantities.
+///
+/// A run decides, then times. Only the message holder is awake and it
+/// decides from its own view and the packet, so a query's walk never
+/// depends on other queries: phase 1 walks every query to completion with
+/// the lockstep simulator, target by target, and phase 2 replays the walks
+/// through the event clock (arrivals, queues, service, latency, drops).
 
 /// One routing request: route a message from `source` to `target`, injected
 /// into the source's inbound queue at `start_time`.
@@ -33,10 +39,11 @@ struct ServingQuery {
     SimTime start_time = 0;
 };
 
-/// Builds the objective bound to one target. Called once per *distinct*
-/// target of the batch, possibly concurrently from setup workers (each call
-/// builds an independent instance, so the usual "one objective per worker"
-/// contract holds); all evaluation then happens on the event loop.
+/// Builds the objective bound to one target. simulate_many calls it once
+/// per *distinct* target of the batch, one call at a time on the calling
+/// thread, in ascending target order; each objective is destroyed before
+/// the next is built, and all of its evaluation runs on the calling thread
+/// too. So at most one objective (and one memo table) is alive at a time.
 using TargetObjectiveFactory = std::function<std::unique_ptr<Objective>(Vertex target)>;
 
 struct ServingOptions {
@@ -48,9 +55,9 @@ struct ServingOptions {
     /// shared send chokepoint. Query k draws from the per-query fault stream
     /// FaultView(state, source, k) — query 0 replays the lockstep stream.
     const FaultState* faults = nullptr;
-    /// Byzantine adversary (overrides routing.adversary when non-null): the
-    /// event loop serves advertised neighborhoods, wakes evaluate claimed
-    /// objectives, byzantine holders blackhole/misroute. The adversary's lies
+    /// Byzantine adversary (overrides routing.adversary when non-null): wakes
+    /// see advertised neighborhoods and evaluate claimed objectives,
+    /// byzantine holders blackhole/misroute. The adversary's lies
     /// are static per (seed, vertex) — no per-query stream, every query sees
     /// the same liars — so it composes with the per-query fault nonces.
     const AdversaryState* adversary = nullptr;
@@ -71,10 +78,9 @@ struct ServingOptions {
     /// simultaneous events is a pure function of (seed, event key).
     std::uint64_t seed = 0;
 
-    /// Setup workers for objective construction (0 = hardware concurrency).
-    /// The event loop itself is the serialization point, so results are
-    /// bit-identical at any thread count (asserted by tests and the
-    /// bench_serving sweep).
+    /// Unused: simulate_many runs entirely on the calling thread (see
+    /// TargetObjectiveFactory). Kept so callers that set it still compile;
+    /// results are the same for every value.
     unsigned threads = 0;
 };
 
@@ -112,8 +118,7 @@ struct ServingResult {
 
 /// Runs the whole batch to completion under the discrete-event model and
 /// returns per-query results plus serving telemetry. Deterministic: a pure
-/// function of (graph, factory objectives, queries, options) at any thread
-/// count.
+/// function of (graph, factory objectives, queries, options).
 [[nodiscard]] ServingResult simulate_many(const GraphView& graph,
                                           const TargetObjectiveFactory& factory,
                                           const DistributedProtocol& protocol,

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/adversary.h"
 #include "core/fault.h"
+#include "core/vertex_table.h"
 
 namespace smallworld {
 
@@ -36,15 +37,56 @@ void DistributedProtocol::on_start(const LocalView& view, ProtocolMessage& messa
 
 namespace {
 
+enum class SendOutcome {
+    kSent,            ///< message is on the wire toward its next hop
+    kDroppedInFlight, ///< max_retries consecutive losses: report kDeadEnd
+    kBudgetExhausted, ///< a charged retry landed on the budget: kStepLimit
+};
+
+/// The send chokepoint. Precondition: faults.active(). A send lost to
+/// per-wake message loss or a down transient link is retried by the same
+/// node — one extra wake and one budget-charged retry per attempt, without
+/// re-running on_wake (handlers are not idempotent) — until it succeeds,
+/// max_retries consecutive losses drop the packet, or a retry lands exactly
+/// on the budget (budget beats retry exhaustion, DESIGN.md §9).
+SendOutcome faulted_send(FaultView& faults, std::uint64_t& send_attempt, Vertex from,
+                         Vertex to, std::size_t max_steps, RoutingResult& routing,
+                         SimulationTelemetry& telemetry) {
+    int failures = 0;
+    while (true) {
+        bool lost = faults.message_lost(send_attempt++);
+        if (faults.transient()) {
+            if (!faults.link_up(from, to)) lost = true;
+            faults.advance_epoch();
+        }
+        if (!lost) return SendOutcome::kSent;
+        ++telemetry.message_drops;
+        if (failures >= faults.max_retries()) {
+            return SendOutcome::kDroppedInFlight;
+        }
+        ++failures;
+        ++telemetry.wakes;
+        ++telemetry.retries;
+        ++routing.retries;
+        if (routing.steps() + routing.retries >= max_steps) {
+            return SendOutcome::kBudgetExhausted;
+        }
+    }
+}
+
+}  // namespace
+
+namespace detail {
+
 DistributedResult simulate_impl(const GraphView& graph, const Objective& objective,
                                 const DistributedProtocol& protocol, Vertex source,
-                                const RoutingOptions& options,
-                                const FaultState* fault_state,
-                                const AdversaryState* adversary_state) {
+                                const RoutingOptions& options, const FaultState* fault_state,
+                                std::uint64_t fault_nonce, const AdversaryState* adversary_state,
+                                std::vector<SimulationTelemetry>* arrivals) {
     DistributedResult result;
     result.routing.path.push_back(source);
     const std::size_t max_steps = options.effective_max_steps(graph.num_vertices());
-    FaultView faults(fault_state, source);
+    FaultView faults(fault_state, source, fault_nonce);
     const AdversaryView adversary(adversary_state);
 
     if (faults.active() && !faults.vertex_alive(source) &&
@@ -54,9 +96,9 @@ DistributedResult simulate_impl(const GraphView& graph, const Objective& objecti
         return result;
     }
 
-    // Audited lookup-only (operator[]/size): one slot per woken node; the
-    // scheduler drives the order, the map is never iterated.
-    std::unordered_map<Vertex, NodeSlot> slots;
+    // One slot per woken node, lookup-only: the walk drives the order and
+    // the table is never iterated.
+    VertexTable<NodeSlot> slots;
     ProtocolMessage message;
     message.target = objective.target();
 
@@ -84,17 +126,26 @@ DistributedResult simulate_impl(const GraphView& graph, const Objective& objecti
         return visible_scratch;
     };
 
+    // Telemetry as of the arrival just caused: what a serving run reports
+    // for a query whose message is refused there.
+    const auto record_arrival = [&] {
+        if (arrivals == nullptr) return;
+        arrivals->push_back(result.telemetry);
+        arrivals->back().slots_touched = slots.size();
+    };
+
     Vertex current = source;
     {
         const LocalView view(graph, objective, source,
                              &result.telemetry.locality_violations, visible(source));
         protocol.on_start(view, message, slots[source]);
     }
+    record_arrival();
 
-    const auto finish = [&](RoutingStatus status) {
+    const auto finish = [&](RoutingStatus status) -> DistributedResult {
         result.routing.status = status;
         result.telemetry.slots_touched = slots.size();
-        return result;
+        return std::move(result);
     };
 
     std::uint64_t send_attempt = 0;  // route-global message-loss counter
@@ -139,17 +190,15 @@ DistributedResult simulate_impl(const GraphView& graph, const Objective& objecti
                     return finish(RoutingStatus::kDeadEnd);
                 }
                 if (faults.active()) {
-                    // Shared send chokepoint (see detail::faulted_send):
-                    // losses are retried in-wake until success, drop, or a
-                    // retry lands on the budget.
-                    switch (detail::faulted_send(faults, send_attempt, current,
-                                                 action.next, max_steps, result.routing,
-                                                 result.telemetry)) {
-                        case detail::SendOutcome::kSent:
+                    // Send chokepoint: losses are retried in-wake until
+                    // success, drop, or a retry lands on the budget.
+                    switch (faulted_send(faults, send_attempt, current, action.next,
+                                         max_steps, result.routing, result.telemetry)) {
+                        case SendOutcome::kSent:
                             break;
-                        case detail::SendOutcome::kDroppedInFlight:
+                        case SendOutcome::kDroppedInFlight:
                             return finish(RoutingStatus::kDeadEnd);
-                        case detail::SendOutcome::kBudgetExhausted:
+                        case SendOutcome::kBudgetExhausted:
                             return finish(RoutingStatus::kStepLimit);
                     }
                 }
@@ -178,13 +227,14 @@ DistributedResult simulate_impl(const GraphView& graph, const Objective& objecti
                     result.routing.steps() + result.routing.retries >= max_steps) {
                     return finish(RoutingStatus::kStepLimit);
                 }
+                record_arrival();
                 break;
             }
         }
     }
 }
 
-}  // namespace
+}  // namespace detail
 
 namespace {
 
@@ -196,10 +246,11 @@ DistributedResult simulate_dispatch(const GraphView& graph, const Objective& obj
     if (adversary != nullptr && adversary->plan().any()) {
         // Byzantine regime: every wake evaluates what vertices *claim*.
         const ClaimedObjective claimed(objective, *adversary);
-        return simulate_impl(graph, claimed, protocol, source, options, faults,
-                             adversary);
+        return detail::simulate_impl(graph, claimed, protocol, source, options, faults, 0,
+                                     adversary, nullptr);
     }
-    return simulate_impl(graph, objective, protocol, source, options, faults, nullptr);
+    return detail::simulate_impl(graph, objective, protocol, source, options, faults, 0,
+                                 nullptr, nullptr);
 }
 
 }  // namespace
@@ -221,34 +272,5 @@ DistributedResult simulate_routing(const GraphView& graph, const Objective& obje
     return simulate_dispatch(graph, objective, protocol, source, options.routing,
                              faults, adversary);
 }
-
-namespace detail {
-
-SendOutcome faulted_send(FaultView& faults, std::uint64_t& send_attempt, Vertex from,
-                         Vertex to, std::size_t max_steps, RoutingResult& routing,
-                         SimulationTelemetry& telemetry) {
-    int failures = 0;
-    while (true) {
-        bool lost = faults.message_lost(send_attempt++);
-        if (faults.transient()) {
-            if (!faults.link_up(from, to)) lost = true;
-            faults.advance_epoch();
-        }
-        if (!lost) return SendOutcome::kSent;
-        ++telemetry.message_drops;
-        if (failures >= faults.max_retries()) {
-            return SendOutcome::kDroppedInFlight;
-        }
-        ++failures;
-        ++telemetry.wakes;
-        ++telemetry.retries;
-        ++routing.retries;
-        if (routing.steps() + routing.retries >= max_steps) {
-            return SendOutcome::kBudgetExhausted;
-        }
-    }
-}
-
-}  // namespace detail
 
 }  // namespace smallworld

@@ -4,12 +4,11 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "core/router.h"
 
 namespace smallworld {
-
-class FaultView;  // core/fault.h
 
 /// The distributed execution model of the paper (Sections 1, 2.2, 5):
 /// exactly one node is awake at a time — the current message holder — and
@@ -187,24 +186,23 @@ struct FaultedSimulationOptions {
 
 namespace detail {
 
-enum class SendOutcome {
-    kSent,            ///< message is on the wire toward its next hop
-    kDroppedInFlight, ///< max_retries consecutive losses: report kDeadEnd
-    kBudgetExhausted, ///< a charged retry landed on the budget: kStepLimit
-};
-
-/// The send chokepoint shared by the lockstep and discrete-event simulators
-/// (one implementation so fault-draw sequences and budget accounting cannot
-/// diverge). Precondition: faults.active(). A send lost to per-wake message
-/// loss or a down transient link is retried by the same node — one extra
-/// wake and one budget-charged retry per attempt, without re-running
-/// on_wake (handlers are not idempotent) — until it succeeds, max_retries
-/// consecutive losses drop the packet, or a retry lands exactly on the
-/// budget (budget beats retry exhaustion, DESIGN.md §9).
-[[nodiscard]] SendOutcome faulted_send(FaultView& faults, std::uint64_t& send_attempt,
-                                       Vertex from, Vertex to, std::size_t max_steps,
-                                       RoutingResult& routing,
-                                       SimulationTelemetry& telemetry);
+/// One query's lockstep walk: the engine under simulate_routing (fault
+/// nonce 0) and under simulate_many's decide phase (nonce = batch index, so
+/// the query draws from FaultView(faults, source, nonce)). `objective` is
+/// what every wake evaluates: the ClaimedObjective over the honest one when
+/// `adversary` is non-null, whose plan must then be active.
+///
+/// With `arrivals` non-null the walk also appends, for every arrival it
+/// causes — the injection at the source, then each forward that travels on
+/// (not one that ends the walk) — the telemetry as of that moment,
+/// slots_touched included: entry a belongs to arrival a, 0 being the
+/// injection. A serving run that refuses arrival a reports entry a.
+[[nodiscard]] DistributedResult simulate_impl(const GraphView& graph, const Objective& objective,
+                                              const DistributedProtocol& protocol, Vertex source,
+                                              const RoutingOptions& options,
+                                              const FaultState* faults, std::uint64_t fault_nonce,
+                                              const AdversaryState* adversary,
+                                              std::vector<SimulationTelemetry>* arrivals);
 
 }  // namespace detail
 

@@ -1,0 +1,501 @@
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <ostream>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/adversary.h"
+#include "core/fault.h"
+#include "distributed/protocols.h"
+#include "distributed/serving.h"
+#include "girg/generator.h"
+#include "random/rng.h"
+#include "reference_serving.h"
+
+// Differential test of simulate_many (decide each walk, then replay the
+// event clock) against the event loop it replaced (reference_serving.h):
+// every per-query field, every ServingTelemetry counter and every per-node
+// vector must match exactly, across protocols, latency models, service
+// intervals, queue bounds, fault plans, adversary plans and batch shapes.
+
+namespace smallworld {
+namespace {
+
+// ------------------------------------------------------------- comparison
+
+#define SW_DIFF_FIELD(field)                                                  \
+    if (expected.field != actual.field) {                                     \
+        out << where << #field << ": expected " << expected.field << ", got " \
+            << actual.field;                                                  \
+        return out.str();                                                     \
+    }
+
+std::string diff_query(const DistributedResult& expected, const DistributedResult& actual,
+                       std::size_t index) {
+    std::ostringstream out;
+    const std::string where = "query " + std::to_string(index) + " ";
+    if (expected.routing.status != actual.routing.status) {
+        out << where << "status: expected " << static_cast<int>(expected.routing.status)
+            << ", got " << static_cast<int>(actual.routing.status);
+        return out.str();
+    }
+    if (expected.routing.path != actual.routing.path) {
+        out << where << "path differs (lengths " << expected.routing.path.size() << " vs "
+            << actual.routing.path.size() << ")";
+        return out.str();
+    }
+    SW_DIFF_FIELD(routing.retries)
+    SW_DIFF_FIELD(telemetry.wakes)
+    SW_DIFF_FIELD(telemetry.messages_sent)
+    SW_DIFF_FIELD(telemetry.slots_touched)
+    SW_DIFF_FIELD(telemetry.locality_violations)
+    SW_DIFF_FIELD(telemetry.illegal_forwards)
+    SW_DIFF_FIELD(telemetry.message_drops)
+    SW_DIFF_FIELD(telemetry.retries)
+    SW_DIFF_FIELD(telemetry.skipped_dead_neighbors)
+    SW_DIFF_FIELD(telemetry.queue_drops)
+    SW_DIFF_FIELD(telemetry.audit_flags)
+    SW_DIFF_FIELD(telemetry.misroutes_observed)
+    return {};
+}
+
+/// The first difference between two serving results, or "" when every
+/// field agrees.
+std::string diff_serving(const ServingResult& expected, const ServingResult& actual) {
+    std::ostringstream out;
+    if (expected.queries.size() != actual.queries.size()) {
+        out << "query count " << expected.queries.size() << " vs " << actual.queries.size();
+        return out.str();
+    }
+    for (std::size_t i = 0; i < expected.queries.size(); ++i) {
+        std::string d = diff_query(expected.queries[i], actual.queries[i], i);
+        if (!d.empty()) return d;
+    }
+    const std::string where;
+    SW_DIFF_FIELD(serving.clock_end)
+    SW_DIFF_FIELD(serving.events_fired)
+    SW_DIFF_FIELD(serving.events_scheduled)
+    SW_DIFF_FIELD(serving.heap_high_water)
+    SW_DIFF_FIELD(serving.total_wakes)
+    SW_DIFF_FIELD(serving.queue_drops)
+    SW_DIFF_FIELD(serving.busy_ticks_total)
+    if (expected.serving.node_wakes != actual.serving.node_wakes) return "node_wakes differ";
+    if (expected.serving.node_queue_high_water != actual.serving.node_queue_high_water) {
+        return "node_queue_high_water differ";
+    }
+    if (expected.serving.node_queue_drops != actual.serving.node_queue_drops) {
+        return "node_queue_drops differ";
+    }
+    if (expected.serving.node_busy_ticks != actual.serving.node_busy_ticks) {
+        return "node_busy_ticks differ";
+    }
+    return {};
+}
+
+#undef SW_DIFF_FIELD
+
+// ------------------------------------------------------ audited factory
+
+/// What the production run's factory saw: the targets it was asked for, in
+/// call order, and how many of its objectives were alive at once.
+struct FactoryAudit {
+    std::vector<Vertex> calls;
+    int live = 0;
+    int max_live = 0;
+};
+
+class AuditedObjective final : public Objective {
+public:
+    AuditedObjective(const Girg& girg, Vertex target, FactoryAudit& audit)
+        : base_(girg, target), audit_(&audit) {
+        ++audit_->live;
+        if (audit_->live > audit_->max_live) audit_->max_live = audit_->live;
+    }
+    ~AuditedObjective() override { --audit_->live; }
+    AuditedObjective(const AuditedObjective&) = delete;
+    AuditedObjective& operator=(const AuditedObjective&) = delete;
+
+    [[nodiscard]] double value(Vertex v) const override { return base_.value(v); }
+    [[nodiscard]] Vertex target() const override { return base_.target(); }
+    void values(std::span<const Vertex> vertices, double* out) const override {
+        base_.values(vertices, out);
+    }
+    [[nodiscard]] BestNeighbor best_of(std::span<const Vertex> vertices) const override {
+        return base_.best_of(vertices);
+    }
+
+private:
+    GirgObjective base_;
+    FactoryAudit* audit_;
+};
+
+// ------------------------------------------------------------------ grid
+
+enum class Proto { kGreedy, kPhiDfs };
+enum class Adversary { kNone, kLiars, kMisroute };
+
+struct GridParam {
+    Proto protocol;
+    bool faulted;
+    Adversary adversary;
+};
+
+std::string name_of(const GridParam& param) {
+    std::string name = param.protocol == Proto::kGreedy ? "Greedy" : "PhiDfs";
+    name += param.faulted ? "_Faulted" : "_Honest";
+    switch (param.adversary) {
+        case Adversary::kNone: name += "_NoAdversary"; break;
+        case Adversary::kLiars: name += "_InflateBlackholePhantoms"; break;
+        case Adversary::kMisroute: name += "_Misroute"; break;
+    }
+    return name;
+}
+
+std::string param_name(const ::testing::TestParamInfo<GridParam>& info) {
+    return name_of(info.param);
+}
+
+// gtest would print the parameter's bytes, padding included, into the
+// listed (and so the CTest) test names.
+void PrintTo(const GridParam& param, std::ostream* os) { *os << name_of(param); }
+
+struct Latency {
+    const char* name;
+    LatencyModel model;
+};
+
+std::vector<Latency> latencies() {
+    std::vector<Latency> out;
+    LatencyModel zero;
+    zero.base_ticks = 0;
+    out.push_back({"constant0", zero});
+    LatencyModel one;
+    one.base_ticks = 1;
+    out.push_back({"constant1", one});
+    LatencyModel jitter;
+    jitter.kind = LatencyKind::kSeededJitter;
+    jitter.base_ticks = 1;
+    jitter.jitter_ticks = 3;
+    jitter.seed = 301;
+    out.push_back({"jitter", jitter});
+    LatencyModel distance;
+    distance.kind = LatencyKind::kDistanceProportional;
+    distance.base_ticks = 1;
+    distance.ticks_per_unit_distance = 40.0;
+    out.push_back({"distance", distance});
+    return out;
+}
+
+/// One point of the option grid: latency x service interval x queue bound
+/// x step budget.
+struct Cell {
+    std::string name;
+    ServingOptions options;
+};
+
+std::vector<Cell> cells(const Girg& girg, const FaultState* faults,
+                        const AdversaryState* adversary) {
+    std::vector<Cell> out;
+    for (const Latency& latency : latencies()) {
+        for (const SimTime service : {SimTime{0}, SimTime{1}, SimTime{3}}) {
+            for (const std::size_t capacity : {0, 1, 2, 4}) {
+                // The default budget, and one tight enough that walks end on it.
+                for (const std::size_t budget : {0, 3}) {
+                    Cell cell;
+                    cell.name = std::string(latency.name) +
+                                " service=" + std::to_string(service) +
+                                " capacity=" + std::to_string(capacity) +
+                                " budget=" + std::to_string(budget);
+                    ServingOptions& options = cell.options;
+                    options.routing.max_steps = budget;
+                    options.faults = faults;
+                    options.adversary = adversary;
+                    options.latency = latency.model;
+                    options.positions = &girg.positions;
+                    options.service_ticks = service;
+                    options.queue_capacity = capacity;
+                    options.seed = 306 + out.size();
+                    options.threads = 1;  // the oracle's set-up fan-out
+                    out.push_back(std::move(cell));
+                }
+            }
+        }
+    }
+    return out;
+}
+
+struct Batch {
+    const char* name;
+    std::vector<ServingQuery> queries;
+};
+
+constexpr std::size_t kBatchSize = 16;
+
+/// The six batch shapes, drawn on `girg`; the one-query batch is `single`.
+/// Under faults the all-distinct batch starts its first query at a crashed
+/// vertex, and the one-source batch uses a live source.
+std::vector<Batch> batches(const Girg& girg, const FaultState* faults,
+                           const ServingQuery& single) {
+    const auto n = girg.num_vertices();
+    Rng rng(302);
+    const auto any = [&] { return static_cast<Vertex>(rng.uniform_index(n)); };
+    const auto live = [&] {
+        Vertex v = any();
+        while (faults != nullptr && faults->crashed(v)) v = any();
+        return v;
+    };
+    std::vector<Batch> out;
+    out.push_back({"one_query", {single}});
+
+    Batch distinct{"distinct_targets", {}};
+    for (std::size_t i = 0; i < kBatchSize; ++i) {
+        distinct.queries.push_back({any(), static_cast<Vertex>((i * 37 + 5) % n),
+                                    static_cast<SimTime>(i % 5)});
+    }
+    if (faults != nullptr) {
+        for (Vertex v = 0; v < n; ++v) {
+            if (faults->crashed(v)) {
+                distinct.queries.front().source = v;
+                break;
+            }
+        }
+    }
+    out.push_back(std::move(distinct));
+
+    Batch one_target{"one_target", {}};
+    const Vertex shared = any();
+    for (std::size_t i = 0; i < kBatchSize; ++i) {
+        one_target.queries.push_back({any(), shared, static_cast<SimTime>(i % 3)});
+    }
+    out.push_back(std::move(one_target));
+
+    Batch zipf{"zipf_targets", {}};
+    std::vector<Vertex> hot;
+    for (int r = 0; r < 5; ++r) hot.push_back(any());
+    const double total = 1.0 + 1.0 / 2 + 1.0 / 3 + 1.0 / 4 + 1.0 / 5;
+    for (std::size_t i = 0; i < kBatchSize; ++i) {
+        double u = rng.uniform() * total;
+        std::size_t rank = 0;
+        while (rank + 1 < hot.size() && u >= 1.0 / static_cast<double>(rank + 1)) {
+            u -= 1.0 / static_cast<double>(rank + 1);
+            ++rank;
+        }
+        zipf.queries.push_back({any(), hot[rank], static_cast<SimTime>(i / 2)});
+    }
+    out.push_back(std::move(zipf));
+
+    Batch repeated{"repeated_pair", {}};
+    const ServingQuery pair{any(), any(), 0};
+    for (std::size_t i = 0; i < kBatchSize; ++i) repeated.queries.push_back(pair);
+    out.push_back(std::move(repeated));
+
+    Batch one_source{"one_source_one_tick", {}};
+    const Vertex source = live();
+    for (std::size_t i = 0; i < kBatchSize; ++i) {
+        one_source.queries.push_back({source, any(), 0});
+    }
+    out.push_back(std::move(one_source));
+    return out;
+}
+
+/// A query whose lockstep walk (fault nonce 0, which is what batch index 0
+/// draws) ends on a phantom hop: a byzantine source forwards along one of
+/// the non-edges it advertises. Random pairs rarely do, because blackholes
+/// swallow every byzantine vertex but a source.
+ServingQuery phantom_ending_query(const Girg& girg, const DistributedProtocol& protocol,
+                                  const FaultState* faults,
+                                  const AdversaryState& adversary) {
+    const AdversaryView view(&adversary);
+    FaultedSimulationOptions options;
+    options.faults = faults;
+    options.adversary = &adversary;
+    for (Vertex s = 0; s < girg.num_vertices(); ++s) {
+        if (!view.advertises_phantoms(s)) continue;
+        for (Vertex t = 0; t < girg.num_vertices(); ++t) {
+            const GirgObjective objective(girg, t);
+            const DistributedResult r =
+                simulate_routing(girg.graph, objective, protocol, s, options);
+            const auto& path = r.routing.path;
+            if (r.telemetry.audit_flags != 0 && path.size() == 2 &&
+                AdversaryView::phantom_link(girg.graph, s, path.back())) {
+                return {s, t, 0};
+            }
+        }
+    }
+    ADD_FAILURE() << "no query ends on a phantom hop";
+    return {0, 0, 0};
+}
+
+GirgParams grid_params() {
+    GirgParams p;
+    p.n = 320;
+    p.dim = 2;
+    p.alpha = 2.0;
+    p.beta = 2.5;
+    p.wmin = 1.5;  // several components: greedy dead ends and Φ-DFS exhaustion
+    p.edge_scale = calibrated_edge_scale(p);
+    return p;
+}
+
+/// How the queries of a grid instance ended, for the coverage asserts.
+struct Coverage {
+    std::size_t runs = 0;
+    std::size_t queries = 0;
+    std::size_t refused_at_injection = 0;
+    std::size_t refused_after_forward = 0;
+    std::size_t crashed_sources = 0;
+    std::size_t phantom_ends = 0;
+    std::size_t blackhole_ends = 0;
+    std::size_t budget_ends_after_forward = 0;
+    std::size_t retries = 0;
+    std::size_t misroutes = 0;
+};
+
+void tally(const Girg& girg, const AdversaryState* adversary, const ServingResult& result,
+           Coverage& coverage) {
+    const AdversaryView view(adversary);
+    ++coverage.runs;
+    for (const DistributedResult& q : result.queries) {
+        ++coverage.queries;
+        const auto& path = q.routing.path;
+        const std::size_t decided = q.telemetry.wakes - q.telemetry.retries;
+        coverage.retries += q.routing.retries;
+        coverage.misroutes += q.telemetry.misroutes_observed;
+        if (q.telemetry.queue_drops != 0) {
+            ++(path.size() == 1 ? coverage.refused_at_injection
+                                : coverage.refused_after_forward);
+            continue;
+        }
+        if (decided == 0) ++coverage.crashed_sources;
+        // A last wake that moved the packet without scheduling its arrival.
+        if (path.size() != decided + 1 || path.size() < 2) continue;
+        const Vertex from = path[path.size() - 2];
+        const Vertex to = path.back();
+        if (q.routing.status == RoutingStatus::kStepLimit) {
+            ++coverage.budget_ends_after_forward;
+        } else if (q.telemetry.audit_flags != 0) {
+            ++(view.advertises_phantoms(from) &&
+                       AdversaryView::phantom_link(girg.graph, from, to)
+                   ? coverage.phantom_ends
+                   : coverage.blackhole_ends);
+        }
+    }
+}
+
+class ServingDiff : public ::testing::TestWithParam<GridParam> {};
+
+TEST_P(ServingDiff, MatchesThePreSplitEventLoopOnEveryField) {
+    const GridParam param = GetParam();
+    const Girg girg = generate_girg(grid_params(), 303);
+
+    FaultPlan fault_plan;
+    fault_plan.seed = 304;
+    fault_plan.message_loss_prob = 0.1;
+    fault_plan.link_failure_prob = 0.1;
+    fault_plan.crash_fraction = 0.05;
+    fault_plan.edge_removal_prob = 0.05;
+    const FaultState fault_state(girg.graph, fault_plan);
+    const FaultState* faults = param.faulted ? &fault_state : nullptr;
+
+    AdversaryPlan adversary_plan;
+    adversary_plan.seed = 305;
+    adversary_plan.byzantine_fraction = 0.1;
+    if (param.adversary == Adversary::kLiars) {
+        adversary_plan.weight_lie_factor = 4.0;
+        adversary_plan.blackhole = true;
+        adversary_plan.phantom_neighbors = 2;
+    } else if (param.adversary == Adversary::kMisroute) {
+        adversary_plan.misroute = true;
+    }
+    const AdversaryState adversary_state(girg.graph, adversary_plan);
+    const AdversaryState* adversary =
+        param.adversary != Adversary::kNone ? &adversary_state : nullptr;
+
+    const DistributedGreedy greedy;
+    const DistributedPhiDfs phi_dfs;
+    const DistributedProtocol& protocol =
+        param.protocol == Proto::kGreedy ? static_cast<const DistributedProtocol&>(greedy)
+                                         : phi_dfs;
+    const TargetObjectiveFactory plain = [&girg](Vertex target) {
+        return std::make_unique<GirgObjective>(girg, target);
+    };
+    const ServingQuery single =
+        param.adversary == Adversary::kLiars
+            ? phantom_ending_query(girg, protocol, faults, adversary_state)
+            : ServingQuery{7, 11, 0};
+    const std::vector<Batch> shapes = batches(girg, faults, single);
+
+    Coverage coverage;
+    for (const Cell& cell : cells(girg, faults, adversary)) {
+        for (const Batch& batch : shapes) {
+            const std::string where = cell.name + " batch=" + batch.name;
+            const ServingResult expected = reference::simulate_many(
+                girg.graph, plain, protocol, batch.queries, cell.options);
+
+            FactoryAudit audit;
+            const TargetObjectiveFactory audited = [&](Vertex target) {
+                EXPECT_EQ(audit.live, 0) << "an objective outlived its target";
+                audit.calls.push_back(target);
+                return std::make_unique<AuditedObjective>(girg, target, audit);
+            };
+            const ServingResult actual =
+                simulate_many(girg.graph, audited, protocol, batch.queries, cell.options);
+            ASSERT_EQ(diff_serving(expected, actual), "") << where;
+
+            // One call per distinct target, in ascending order, and never two
+            // objectives alive at once.
+            std::vector<Vertex> targets;
+            for (const ServingQuery& q : batch.queries) targets.push_back(q.target);
+            std::sort(targets.begin(), targets.end());
+            targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+            ASSERT_EQ(audit.calls, targets) << where;
+            ASSERT_EQ(audit.max_live, 1) << where;
+            ASSERT_EQ(audit.live, 0) << where;
+
+            tally(girg, adversary, actual, coverage);
+        }
+    }
+
+    // Every instance must reach the configurations the split is delicate
+    // about, or the equality above proves less than it seems to.
+    EXPECT_EQ(coverage.runs, 4u * 3u * 4u * 2u * 6u);
+    EXPECT_GT(coverage.refused_at_injection, 0u);
+    EXPECT_GT(coverage.refused_after_forward, 0u);
+    EXPECT_GT(coverage.budget_ends_after_forward, 0u);
+    if (param.faulted) {
+        EXPECT_GT(coverage.crashed_sources, 0u);
+        EXPECT_GT(coverage.retries, 0u);
+    }
+    if (param.adversary == Adversary::kLiars) {
+        EXPECT_GT(coverage.phantom_ends, 0u);
+        EXPECT_GT(coverage.blackhole_ends, 0u);
+    }
+    if (param.adversary == Adversary::kMisroute) {
+        EXPECT_GT(coverage.misroutes, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, ServingDiff,
+    ::testing::Values(GridParam{Proto::kGreedy, false, Adversary::kNone},
+                      GridParam{Proto::kGreedy, false, Adversary::kLiars},
+                      GridParam{Proto::kGreedy, false, Adversary::kMisroute},
+                      GridParam{Proto::kGreedy, true, Adversary::kNone},
+                      GridParam{Proto::kGreedy, true, Adversary::kLiars},
+                      GridParam{Proto::kGreedy, true, Adversary::kMisroute},
+                      GridParam{Proto::kPhiDfs, false, Adversary::kNone},
+                      GridParam{Proto::kPhiDfs, false, Adversary::kLiars},
+                      GridParam{Proto::kPhiDfs, false, Adversary::kMisroute},
+                      GridParam{Proto::kPhiDfs, true, Adversary::kNone},
+                      GridParam{Proto::kPhiDfs, true, Adversary::kLiars},
+                      GridParam{Proto::kPhiDfs, true, Adversary::kMisroute}),
+    param_name);
+
+}  // namespace
+}  // namespace smallworld

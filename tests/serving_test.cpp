@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <deque>
+#include <limits>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/fault.h"
@@ -76,18 +81,118 @@ TEST(EventQueueTest, SameTimeOrderIsAPureFunctionOfSeed) {
 // ------------------------------------------------------------- node queue
 
 TEST(NodeQueueTest, BoundedFifoCountsDropsAndHighWater) {
+    std::vector<QueryId> next(64);  // the batch's link array
     NodeQueue q;
     q.set_capacity(2);
-    EXPECT_TRUE(q.push(10));
-    EXPECT_TRUE(q.push(20));
-    EXPECT_FALSE(q.push(30));  // full: refused and counted
+    EXPECT_TRUE(q.push(10, next));
+    EXPECT_TRUE(q.push(20, next));
+    EXPECT_FALSE(q.push(30, next));  // full: refused and counted
     EXPECT_EQ(q.drops(), 1u);
     EXPECT_EQ(q.high_water(), 2u);
-    EXPECT_EQ(q.pop(), 10u);  // FIFO
-    EXPECT_TRUE(q.push(30));  // one slot freed
-    EXPECT_EQ(q.pop(), 20u);
-    EXPECT_EQ(q.pop(), 30u);
+    EXPECT_EQ(q.pop(next), 10u);  // FIFO
+    EXPECT_TRUE(q.push(30, next));  // one slot freed
+    EXPECT_EQ(q.pop(next), 20u);
+    EXPECT_EQ(q.pop(next), 30u);
     EXPECT_TRUE(q.empty());
+}
+
+TEST(NodeQueueTest, DrainAndRefillManyTimes) {
+    // The queue empties and refills over and over, reusing query ids, so
+    // the head of each refill is the link array entry a drained queue left
+    // behind.
+    for (const std::size_t capacity : {std::size_t{0}, std::size_t{3}}) {
+        SCOPED_TRACE(capacity);
+        std::vector<QueryId> next(8);
+        NodeQueue q;
+        q.set_capacity(capacity);
+        std::size_t high_water = 0;
+        std::size_t drops = 0;
+        for (std::uint32_t round = 0; round < 200; ++round) {
+            const std::uint32_t count = 1 + round % 6;
+            std::vector<QueryId> accepted;
+            for (std::uint32_t k = 0; k < count; ++k) {
+                const QueryId id = (round + k) % 8;
+                const bool fits = capacity == 0 || accepted.size() < capacity;
+                ASSERT_EQ(q.push(id, next), fits) << round;
+                if (fits) {
+                    accepted.push_back(id);
+                } else {
+                    ++drops;
+                }
+                EXPECT_EQ(q.depth(), accepted.size());
+            }
+            high_water = std::max(high_water, accepted.size());
+            EXPECT_EQ(q.high_water(), high_water);
+            EXPECT_EQ(q.drops(), drops);
+            for (std::size_t k = 0; k < accepted.size(); ++k) {
+                ASSERT_FALSE(q.empty());
+                EXPECT_EQ(q.pop(next), accepted[k]) << round;
+                EXPECT_EQ(q.depth(), accepted.size() - k - 1);
+            }
+            EXPECT_TRUE(q.empty());
+        }
+        EXPECT_EQ(q.high_water(), capacity == 0 ? 6u : 3u);
+    }
+}
+
+TEST(NodeQueueTest, InterleavedPushesAndPopsKeepFifoOrderAcrossSharedLinks) {
+    // Three queues thread their entries through one link array while query
+    // ids are recycled as they are served. Queue 0 never drains after its
+    // first push; every queue is checked against a std::deque model.
+    constexpr std::size_t kQueues = 3;
+    constexpr QueryId kIds = 24;
+    for (const std::size_t capacity : {std::size_t{0}, std::size_t{4}}) {
+        SCOPED_TRACE(capacity);
+        std::vector<QueryId> next(kIds);
+        std::vector<NodeQueue> queues(kQueues);
+        std::vector<std::deque<QueryId>> model(kQueues);
+        std::vector<std::size_t> high_water(kQueues, 0);
+        std::vector<std::size_t> drops(kQueues, 0);
+        std::vector<QueryId> free_ids;
+        for (QueryId id = 0; id < kIds; ++id) free_ids.push_back(kIds - 1 - id);
+        for (NodeQueue& q : queues) q.set_capacity(capacity);
+
+        Rng rng(91);
+        for (int op = 0; op < 5000; ++op) {
+            const std::size_t k = rng.uniform_index(kQueues);
+            const bool keep_one = k == 0;
+            const bool can_pop = model[k].size() > (keep_one ? 1u : 0u);
+            if (!free_ids.empty() && (!can_pop || rng.uniform() < 0.5)) {
+                const QueryId id = free_ids.back();
+                const bool fits = capacity == 0 || model[k].size() < capacity;
+                ASSERT_EQ(queues[k].push(id, next), fits) << op;
+                if (fits) {
+                    free_ids.pop_back();
+                    model[k].push_back(id);
+                } else {
+                    ++drops[k];
+                }
+            } else if (can_pop) {
+                const QueryId id = queues[k].pop(next);
+                ASSERT_EQ(id, model[k].front()) << op;
+                model[k].pop_front();
+                free_ids.push_back(id);
+            }
+            high_water[k] = std::max(high_water[k], model[k].size());
+            for (std::size_t j = 0; j < kQueues; ++j) {
+                ASSERT_EQ(queues[j].depth(), model[j].size()) << op;
+                ASSERT_EQ(queues[j].empty(), model[j].empty()) << op;
+                ASSERT_EQ(queues[j].high_water(), high_water[j]) << op;
+                ASSERT_EQ(queues[j].drops(), drops[j]) << op;
+            }
+        }
+        EXPECT_FALSE(queues[0].empty());
+        if (capacity != 0) {
+            EXPECT_GT(drops[0] + drops[1] + drops[2], 0u);  // the bound was hit
+        }
+        for (std::size_t j = 0; j < kQueues; ++j) {
+            while (!model[j].empty()) {
+                EXPECT_EQ(queues[j].pop(next), model[j].front());
+                model[j].pop_front();
+            }
+            EXPECT_TRUE(queues[j].empty());
+        }
+    }
 }
 
 // ---------------------------------------------------------- latency models
@@ -114,6 +219,27 @@ TEST(LinkLatencyTest, DistanceProportionalUsesTorusDistance) {
     EXPECT_EQ(latency.delay(u, v, 0), 17u);
     EXPECT_EQ(latency.delay(u, w, 0), 17u);  // wraps around the torus
     EXPECT_EQ(latency.delay(v, w, 0), 1u + 32u);
+}
+
+TEST(LinkLatencyDeathTest, RejectsRatesWhoseDistanceTermOverflowsSimTime) {
+    ScenarioBuilder b;
+    const Vertex u = b.vertex(0.0);
+    const Vertex w = b.vertex(0.5);  // the largest torus distance
+    const Girg g = b.edge(u, w).build();
+    LatencyModel model;
+    model.kind = LatencyKind::kDistanceProportional;
+    model.base_ticks = 0;
+    for (const double rate : {std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN(), -1.0, 0x1p65,
+                              1e300}) {
+        model.ticks_per_unit_distance = rate;
+        EXPECT_DEATH(LinkLatency(model, &g.positions), "ticks_per_unit_distance") << rate;
+    }
+    // The largest admitted rate: its distance term at distance 1/2 is the
+    // largest double below 2^64, converted exactly.
+    model.ticks_per_unit_distance = std::nextafter(0x1p65, 0.0);
+    const LinkLatency latency(model, &g.positions);
+    EXPECT_EQ(latency.delay(u, w, 0), std::numeric_limits<SimTime>::max() - 2047u);
 }
 
 TEST(LinkLatencyTest, SeededJitterIsBoundedAndReproducible) {
@@ -303,6 +429,55 @@ TEST(ServingDeterminism, BitIdenticalAcrossThreadCounts) {
     expect_serving_identical(one, run(1));  // same-thread reruns
     expect_serving_identical(one, run(2));
     expect_serving_identical(one, run(8));
+}
+
+TEST(ServingObjectives, FactoryRunsOnTheCallingThreadOneTargetAtATime) {
+    // Whatever ServingOptions::threads says, objectives are built and
+    // evaluated on the calling thread, once per distinct target, in
+    // ascending target order, and never two at once.
+    const Girg girg = generate_girg(serving_params(1.5), 76);
+    const DistributedGreedy greedy;
+    Rng rng(77);
+    std::vector<ServingQuery> queries;
+    std::vector<Vertex> targets;
+    for (int i = 0; i < 60; ++i) {
+        const auto t = static_cast<Vertex>(rng.uniform_index(12));
+        queries.push_back(
+            {static_cast<Vertex>(rng.uniform_index(girg.num_vertices())), t, 0});
+        targets.push_back(t);
+    }
+    std::sort(targets.begin(), targets.end());
+    targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<Vertex> calls;
+    int live = 0;
+    struct Tracked final : Objective {
+        Tracked(const Girg& g, Vertex t, int& live) : base(g, t), live(&live) { ++live; }
+        ~Tracked() override { --*live; }
+        Tracked(const Tracked&) = delete;
+        Tracked& operator=(const Tracked&) = delete;
+        [[nodiscard]] double value(Vertex v) const override {
+            EXPECT_EQ(std::this_thread::get_id(), caller_id);
+            return base.value(v);
+        }
+        [[nodiscard]] Vertex target() const override { return base.target(); }
+        GirgObjective base;
+        int* live;
+        std::thread::id caller_id = std::this_thread::get_id();
+    };
+    const TargetObjectiveFactory factory = [&](Vertex target) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        EXPECT_EQ(live, 0);
+        calls.push_back(target);
+        return std::make_unique<Tracked>(girg, target, live);
+    };
+    ServingOptions options;
+    options.threads = 8;
+    const auto result = simulate_many(girg.graph, factory, greedy, queries, options);
+    EXPECT_EQ(calls, targets);
+    EXPECT_EQ(live, 0);
+    EXPECT_GT(result.delivered(), 0u);
 }
 
 // --------------------------------------------- queueing and drop semantics
