@@ -5,20 +5,26 @@
 // sampler's thread count (the regimes that stress different parts of the
 // cell recursion and its parallel task decomposition).
 //
-// `--sweep [output.json]` skips google-benchmark and runs a hand-timed
-// thread sweep of the parallel sampler on a 2^20-vertex instance, writing
-// the measurements (per-thread-count seconds, edges/sec, speedup) to JSON.
+// `--sweep [output.json] [--smoke]` skips google-benchmark and runs a
+// hand-timed thread sweep of the parallel sampler on a 2^20-vertex instance
+// (2^14 with --smoke, for CI), writing the measurements (per-thread-count
+// seconds, edges/sec, speedup, FNV-1a fingerprint of the edge list) to JSON.
+// The sweep fails when the rows' edge lists differ: a fixed seed must give
+// the same edges at every thread count.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdint>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "girg/fast_sampler.h"
 #include "girg/naive_sampler.h"
+#include "graph/fingerprint.h"
 #include "random/power_law.h"
 
 namespace smallworld::bench {
@@ -90,16 +96,17 @@ void register_all() {
 
 // ------------------------------------------------------------------ --sweep
 
-/// Hand-timed thread sweep on a 10^6-vertex instance, written as JSON so the
-/// result can be committed alongside the code it measures.
-int run_sweep(const std::string& output_path) {
+/// Hand-timed thread sweep on a 2^20-vertex instance (2^14 when `smoke`),
+/// written as JSON so the result can be committed alongside the code it
+/// measures. Returns non-zero when the thread counts disagree on the edges.
+int run_sweep(const std::string& output_path, bool smoke) {
     // Fail on an unwritable path before spending minutes measuring.
     BenchJson json(output_path, "GEN_Sampler/thread_sweep");
     if (!json.ok()) {
         std::cerr << "sweep: cannot open " << output_path << "\n";
         return 1;
     }
-    const int n = 1 << 20;
+    const int n = smoke ? 1 << 14 : 1 << 20;
     GirgParams params = standard_params(static_cast<double>(n), 2.5, 2.0, 2.0, 2);
     std::cerr << "sweep: sampling " << n << " vertices...\n";
     const VertexSet vertices = make_vertices(params, 22001);
@@ -108,13 +115,15 @@ int run_sweep(const std::string& output_path) {
         unsigned threads;
         double seconds;
         std::size_t edges;
+        std::uint64_t fingerprint;
     };
     std::vector<Row> rows;
-    const int kReps = 3;
+    const int kReps = smoke ? 1 : 3;
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
         params.threads = threads;
         double best = 0.0;
         std::size_t edges = 0;
+        std::uint64_t fingerprint = 0;
         for (int rep = 0; rep < kReps; ++rep) {
             Rng rng(23001);
             const auto start = std::chrono::steady_clock::now();
@@ -124,10 +133,12 @@ int run_sweep(const std::string& output_path) {
             const double secs = std::chrono::duration<double>(stop - start).count();
             if (rep == 0 || secs < best) best = secs;
             edges = sampled.size();
+            fingerprint = fnv1a_bytes(kFingerprintBasis, sampled.data(),
+                                      sampled.size() * sizeof(Edge));
         }
-        rows.push_back({threads, best, edges});
+        rows.push_back({threads, best, edges, fingerprint});
         std::cerr << "sweep: threads=" << threads << " best=" << best << "s edges="
-                  << edges << "\n";
+                  << edges << " fingerprint=" << std::hex << fingerprint << std::dec << "\n";
     }
 
     const double base = rows.front().seconds;
@@ -137,20 +148,34 @@ int run_sweep(const std::string& output_path) {
     json.field("beta", 2.5);
     json.field("reps", static_cast<double>(kReps));
     json.field("timing", "best of reps, wall clock");
+    json.field("fingerprint_definition", "FNV-1a over the sampled edge list's raw bytes");
+    const unsigned cores = std::thread::hardware_concurrency();
+    json.field("machine", "recorded on " + std::to_string(cores) +
+                              " cores: widths up to " + std::to_string(cores) +
+                              " measure scaling, wider ones oversubscribe");
+    bool identical = true;
     std::ostringstream results;
     results << "[\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row& r = rows[i];
+        identical = identical && r.edges == rows.front().edges &&
+                    r.fingerprint == rows.front().fingerprint;
         results << "    {\"threads\": " << r.threads << ", \"seconds\": " << r.seconds
                 << ", \"edges\": " << r.edges << ", \"edges_per_sec\": "
                 << static_cast<double>(r.edges) / r.seconds
-                << ", \"speedup_vs_1\": " << base / r.seconds << "}"
+                << ", \"speedup_vs_1\": " << base / r.seconds << ", \"fingerprint\": \""
+                << std::hex << r.fingerprint << std::dec << "\"}"
                 << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     results << "  ]";
+    json.field("identical_output", identical ? "true" : "false");
     json.field_raw("results", results.str());
     json.close();
     std::cerr << "sweep: wrote " << output_path << "\n";
+    if (!identical) {
+        std::cerr << "sweep: FAIL — the thread counts sampled different edge lists\n";
+        return 1;
+    }
     return 0;
 }
 
@@ -158,11 +183,14 @@ int run_sweep(const std::string& output_path) {
 }  // namespace smallworld::bench
 
 int main(int argc, char** argv) {
+    bool smoke = false;
+    for (int i = 1; i < argc; ++i) smoke = smoke || std::string(argv[i]) == "--smoke";
     for (int i = 1; i < argc; ++i) {
         if (std::string(argv[i]) == "--sweep") {
-            const std::string path =
-                i + 1 < argc ? argv[i + 1] : "BENCH_generator_throughput.json";
-            return smallworld::bench::run_sweep(path);
+            const std::string path = i + 1 < argc && std::string(argv[i + 1]) != "--smoke"
+                                         ? argv[i + 1]
+                                         : "BENCH_generator_throughput.json";
+            return smallworld::bench::run_sweep(path, smoke);
         }
     }
     smallworld::bench::register_all();

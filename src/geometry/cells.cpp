@@ -1,49 +1,6 @@
 #include "geometry/cells.h"
 
-#include <algorithm>
-
-#include "core/check.h"
-
 namespace smallworld {
-
-std::uint32_t cell_axis_distance(std::uint32_t a, std::uint32_t b, int level) noexcept {
-    const std::uint32_t per_axis = static_cast<std::uint32_t>(std::uint64_t{1} << level);
-    const std::uint32_t diff = a > b ? a - b : b - a;
-    return std::min(diff, per_axis - diff);
-}
-
-bool cells_touch(const Cell& a, const Cell& b, int dim) noexcept {
-    GIRG_DCHECK(a.level == b.level, "levels ", a.level, " vs ", b.level);
-    if (a.level == 0) return true;  // the root cell touches itself
-    for (int axis = 0; axis < dim; ++axis) {
-        if (cell_axis_distance(a.coords[axis], b.coords[axis], a.level) > 1) return false;
-    }
-    return true;
-}
-
-double cell_min_distance(const Cell& a, const Cell& b, int dim) noexcept {
-    GIRG_DCHECK(a.level == b.level, "levels ", a.level, " vs ", b.level);
-    const double side = cell_side(a.level);
-    std::uint32_t max_axis_gap = 0;
-    for (int axis = 0; axis < dim; ++axis) {
-        const std::uint32_t d = cell_axis_distance(a.coords[axis], b.coords[axis], a.level);
-        const std::uint32_t gap = d > 0 ? d - 1 : 0;
-        max_axis_gap = std::max(max_axis_gap, gap);
-    }
-    return static_cast<double>(max_axis_gap) * side;
-}
-
-Cell cell_child(const Cell& parent, int dim, unsigned k) noexcept {
-    GIRG_DCHECK(k < (1U << dim), "child k=", k, " dim=", dim);
-    Cell child;
-    child.level = parent.level + 1;
-    for (int axis = 0; axis < dim; ++axis) {
-        // Match Morton bit order: axis 0 owns the most significant bit of k.
-        const unsigned bit = (k >> (dim - 1 - axis)) & 1U;
-        child.coords[axis] = (parent.coords[axis] << 1) | bit;
-    }
-    return child;
-}
 
 Cell cell_of_point(const double* point, int dim, int level) noexcept {
     Cell cell;

@@ -64,22 +64,18 @@ PackBuildStats pack_girg_out_of_core(const std::string& path, const GirgParams& 
     if (relabel) apply_relabeling(new_ids, girg.weights, girg.positions);
     PageVector<Vertex>().swap(new_ids);
 
-    // Sort-spill the arcs (draining the chunk slabs run by run), then merge
-    // rows straight into the writer: no resident adjacency, no offset
-    // array beyond the writer's own O(n) tables.
-    EdgeSpiller spiller(path + ".spill");
-    spiller.add_edges(std::move(edges));
-
+    // Rows straight into the writer, one vertex range at a time through a
+    // bounded buffer (graph/edge_stream.h's build_rows): no resident
+    // adjacency, no offset array beyond the writer's own O(n) tables.
     PackBuildStats stats;
-    stats.spill_runs = spiller.run_count();
-    stats.sampled_arcs = spiller.arc_count();
     stats.num_vertices = girg.num_vertices();
-
     PackWriter writer(path, girg.num_vertices(), to_packed_params(params, seed),
                       girg.weights, girg.positions.coords, options.compress);
-    spiller.merge_rows(girg.num_vertices(), [&](Vertex /*v*/, std::span<const Vertex> row) {
-        writer.add_row(row);
-    });
+    const RowBuildStats rows =
+        build_rows(girg.num_vertices(), std::move(edges), params.threads,
+                   [&](std::span<const Vertex> row) { writer.add_row(row); });
+    stats.row_ranges = rows.ranges;
+    stats.sampled_arcs = rows.arcs;
     stats.file = writer.finish();
     return stats;
 }

@@ -31,16 +31,17 @@ PackFileInfo write_girg_pack(const std::string& path, const Girg& girg,
 
 struct PackBuildStats {
     PackFileInfo file;
-    std::size_t spill_runs = 0;      ///< full runs spilled while accumulating
-    std::uint64_t sampled_arcs = 0;  ///< arcs fed to the merge (before dedup)
+    std::size_t row_ranges = 0;      ///< vertex ranges of the row build
+    std::uint64_t sampled_arcs = 0;  ///< arcs fed to the row build (before dedup)
     Vertex num_vertices = 0;
 };
 
 /// Generates (params, seed) and writes the pack without ever building the
 /// resident CSR: attributes and the chunked edge stream come from the exact
 /// pipeline generate_girg runs (same RNG sequence, same Morton relabeling),
-/// then an EdgeSpiller sort-spills the arcs and k-way-merges them straight
-/// into the PackWriter. The resulting file is byte-identical to
+/// then build_rows (graph/edge_stream.h) scatters and sorts the rows range
+/// by range through one bounded buffer, straight into the PackWriter, and
+/// writes no temporary files. The resulting file is byte-identical to
 /// write_girg_pack(generate_girg(params, seed, options)) with the same
 /// PackOptions — asserted by tests/pack_io_test.cpp. `options.seed` is
 /// overridden by `seed`.

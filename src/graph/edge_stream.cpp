@@ -2,17 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <new>
 #include <span>
-#include <string>
-#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "core/annotations.h"
+#include "graph/row_build.h"
 
 #if defined(__linux__) || defined(__unix__) || defined(__APPLE__)
 #define SMALLWORLD_EDGE_STREAM_MMAP 1
@@ -164,163 +163,83 @@ void ChunkedEdgeSink::seal() {
     open_ = {};
 }
 
-namespace {
-
-// std::pair is not trivially *copyable* (its operator= is user-provided),
-// but its representation is two packed u32s with trivial special members —
-// exactly what the run files store and reload byte-for-byte.
-static_assert(sizeof(Edge) == 8 && std::is_standard_layout_v<Edge> &&
-                  std::is_trivially_copy_constructible_v<Edge>,
-              "spill runs store Edge pairs as raw bytes");
-
-/// Buffered sequential reader over one sorted run file.
-class RunReader {
-public:
-    static constexpr std::size_t kBufferArcs = std::size_t{1} << 16;  // 512 KiB
-
-    void open(const std::string& path) {
-        file_ = std::fopen(path.c_str(), "rb");
-        GIRG_CHECK(file_ != nullptr, "spill run missing: ", path, ": ",
-                   std::strerror(errno));
-        buffer_.reserve(kBufferArcs);
-    }
-    ~RunReader() {
-        if (file_ != nullptr) std::fclose(file_);
-    }
-
-    [[nodiscard]] bool next(Edge& out) {
-        if (pos_ == buffer_.size() && !refill()) return false;
-        out = buffer_[pos_++];
-        return true;
-    }
-
-private:
-    [[nodiscard]] bool refill() {
-        buffer_.resize(kBufferArcs);
-        const std::size_t got = std::fread(buffer_.data(), sizeof(Edge), kBufferArcs, file_);
-        buffer_.resize(got);
-        pos_ = 0;
-        return got != 0;
-    }
-
-    std::FILE* file_ = nullptr;
-    PageVector<Edge> buffer_;
-    std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-EdgeSpiller::EdgeSpiller(std::string spill_prefix, std::size_t run_arcs)
-    : prefix_(std::move(spill_prefix)), run_capacity_(run_arcs) {
-    GIRG_CHECK(run_capacity_ > 0, "spill run capacity must be positive");
-    buffer_.reserve(run_capacity_);  // one page mapping, no doubling copies
-}
-
-EdgeSpiller::~EdgeSpiller() {
-    for (std::size_t i = 0; i < runs_; ++i) std::remove(run_path(i).c_str());
-}
-
-void EdgeSpiller::add_edges(ChunkedEdgeList&& edges) {
+RowBuildStats build_rows(Vertex num_vertices, ChunkedEdgeList&& edges, unsigned threads,
+                         const std::function<void(std::span<const Vertex>)>& row,
+                         std::size_t range_arcs) {
     ChunkedEdgeList stream = std::move(edges);
-    GIRG_CHECK(stream.chunk_sizes_consistent(), "edge stream chunk sizes inconsistent");
-    for (std::size_t i = 0; i < stream.chunk_count(); ++i) {
-        for (const Edge& edge : stream.chunk(i)) add(edge.first, edge.second);
-        stream.retire_chunk(i);
-    }
-}
+    GIRG_CHECK(stream.chunk_sizes_consistent(),
+               "chunk totals mismatch: list size ", stream.size());
+    GIRG_CHECK(range_arcs > 0, "row range budget must be positive");
+    // u32 counters: a vertex has at most one arc per edge of the stream, and
+    // a range's arcs exceed the budget only for a lone vertex, so every
+    // count and cursor fits when the stream and the budget do.
+    constexpr std::size_t kCountMax = std::numeric_limits<std::uint32_t>::max();
+    GIRG_CHECK(stream.size() <= kCountMax && range_arcs <= kCountMax,
+               "edge stream of ", stream.size(), " edges exceeds the 32-bit row counters");
 
-std::string EdgeSpiller::run_path(std::size_t index) const {
-    return prefix_ + ".run" + std::to_string(index);
-}
-
-void EdgeSpiller::spill() {
-    if (buffer_.empty()) return;
-    std::sort(buffer_.begin(), buffer_.end());
-    std::FILE* file = std::fopen(run_path(runs_).c_str(), "wb");
-    GIRG_CHECK(file != nullptr, "cannot create spill run ", run_path(runs_), ": ",
-               std::strerror(errno));
-    GIRG_CHECK(std::fwrite(buffer_.data(), sizeof(Edge), buffer_.size(), file) ==
-                   buffer_.size(),
-               "spill run write failed: ", std::strerror(errno));
-    GIRG_CHECK(std::fclose(file) == 0, "spill run close failed: ", std::strerror(errno));
-    ++runs_;
-    buffer_.clear();  // keeps the mapping: it IS the bounded buffer
-}
-
-std::uint64_t EdgeSpiller::merge_rows(
-    Vertex num_vertices,
-    const std::function<void(Vertex, std::span<const Vertex>)>& row) {
-    GIRG_CHECK(!merged_, "EdgeSpiller::merge_rows called twice");
-    merged_ = true;
-    if (num_vertices == 0) {
-        GIRG_CHECK(arcs_ == 0, "arcs recorded for an empty vertex set");
-        return 0;
-    }
-
-    std::uint64_t kept = 0;
-    std::vector<Vertex> current_row;
-    Vertex current_src = 0;
-    const auto consume = [&](const Edge& arc) {
-        GIRG_CHECK(arc.first < num_vertices && arc.second < num_vertices, "spilled arc (",
-                   arc.first, ",", arc.second, ") out of range n=", num_vertices);
-        if (arc.first != current_src) {
-            row(current_src, current_row);
-            for (Vertex v = current_src + 1; v < arc.first; ++v) row(v, {});
-            current_src = arc.first;
-            current_row.clear();
-        }
-        if (current_row.empty() || current_row.back() != arc.second) {
-            current_row.push_back(arc.second);
-            ++kept;
-        }
+    // Pass 1 also records each chunk's endpoint span: with the samplers'
+    // spatially ordered tasks and the Morton relabeling, a chunk's edges
+    // stay within a narrow id window, so each range pass reads only the
+    // chunks that reach into it and frees every chunk no later range needs.
+    struct Span {
+        Vertex lo;
+        Vertex hi;  // inclusive; lo > hi for an empty chunk
     };
+    PageVector<Span> spans(stream.chunk_count());
+    PageVector<std::uint32_t> counts(static_cast<std::size_t>(num_vertices) + 1, 0);
+    const std::span<std::uint32_t> tallies(counts);
+    row_build::count_arcs(tallies, stream.chunk_count(), threads,
+                          [&](std::size_t ci, auto&& fn) {
+                              Span span{kNoVertex, 0};
+                              for (const Edge& edge : stream.chunk(ci)) {
+                                  fn(edge);
+                                  span.lo = std::min({span.lo, edge.first, edge.second});
+                                  span.hi = std::max({span.hi, edge.first, edge.second});
+                              }
+                              spans[ci] = span;
+                          });
 
-    if (runs_ == 0) {
-        // Everything fit in one buffer: sort in place and walk it.
-        std::sort(buffer_.begin(), buffer_.end());
-        for (const Edge& arc : buffer_) consume(arc);
-    } else {
-        spill();  // the partial tail becomes the final run
-        PageVector<Edge>().swap(buffer_);
-        // K-way merge with a min-heap keyed on (arc, run). Equal arcs from
-        // different runs are duplicates of the same undirected edge and
-        // collapse in consume(), so the tie-break only affects visit order
-        // of identical values — the output cannot depend on run boundaries.
-        std::vector<RunReader> readers(runs_);
-        struct HeapItem {
-            Edge arc;
-            std::size_t run;
-        };
-        const auto after = [](const HeapItem& a, const HeapItem& b) {
-            return a.arc > b.arc || (a.arc == b.arc && a.run > b.run);
-        };
-        std::vector<HeapItem> heap;
-        heap.reserve(runs_);
-        for (std::size_t i = 0; i < runs_; ++i) {
-            readers[i].open(run_path(i));
-            Edge arc;
-            if (readers[i].next(arc)) heap.push_back({arc, i});
+    // Range cut on the tallies (begin_range overwrites them). A range only
+    // ever starts at a vertex with arcs, so no range but an edgeless
+    // graph's single one is empty.
+    RowBuildStats stats;
+    std::vector<Vertex> cuts;
+    std::size_t buffer_arcs = 0;
+    std::size_t in_range = 0;
+    for (Vertex v = 0; v < num_vertices; ++v) {
+        const std::size_t degree = counts[static_cast<std::size_t>(v) + 1];
+        if (v == 0 || (degree > 0 && in_range > 0 && in_range + degree > range_arcs)) {
+            cuts.push_back(v);
+            in_range = 0;
         }
-        std::make_heap(heap.begin(), heap.end(), after);
-        while (!heap.empty()) {
-            std::pop_heap(heap.begin(), heap.end(), after);
-            HeapItem item = heap.back();
-            heap.pop_back();
-            consume(item.arc);
-            if (readers[item.run].next(item.arc)) {
-                heap.push_back(item);
-                std::push_heap(heap.begin(), heap.end(), after);
-            }
-        }
-        readers.clear();
-        for (std::size_t i = 0; i < runs_; ++i) std::remove(run_path(i).c_str());
-        runs_ = 0;
+        in_range += degree;
+        buffer_arcs = std::max(buffer_arcs, in_range);
+        stats.arcs += degree;
     }
+    cuts.push_back(num_vertices);
+    stats.ranges = cuts.size() - 1;
 
-    // Flush the last non-empty row and the trailing empty ones.
-    row(current_src, current_row);
-    for (Vertex v = current_src + 1; v < num_vertices; ++v) row(v, {});
-    return kept;
+    PageVector<Vertex> buffer(buffer_arcs);
+    for (std::size_t r = 0; r < stats.ranges; ++r) {
+        const Vertex lo = cuts[r];
+        const Vertex hi = cuts[r + 1];
+        (void)row_build::begin_range(tallies, lo, hi);
+        row_build::scatter_arcs(tallies, lo, hi, buffer.data(), stream.chunk_count(), threads,
+                                [&](std::size_t ci, auto&& fn) {
+                                    const Span span = spans[ci];
+                                    if (span.hi < lo || span.lo >= hi) return;
+                                    for (const Edge& edge : stream.chunk(ci)) fn(edge);
+                                    if (span.hi < hi) stream.release_chunk(ci);
+                                });
+        (void)row_build::sort_rows(std::span<const std::uint32_t>(counts), lo, hi,
+                                   buffer.data(), threads);
+        for (std::size_t v = lo; v < hi; ++v) {
+            Vertex* first = buffer.data() + counts[v];
+            Vertex* last = std::unique(first, buffer.data() + counts[v + 1]);
+            row(std::span<const Vertex>(first, last));
+        }
+    }
+    return stats;
 }
 
 }  // namespace smallworld

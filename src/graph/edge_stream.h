@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/annotations.h"
@@ -322,67 +321,40 @@ private:
     const Vertex* relabel_ = nullptr;
 };
 
-/// Out-of-core CSR assembly: spill-sorted runs plus a k-way merge, so a
-/// packed CSR can be written for graphs whose resident adjacency would not
-/// fit (girg/pack_io's n >= 2^25 build path). Arcs (both directions of each
-/// undirected edge) accumulate in a bounded page-backed run buffer; each
-/// full buffer is sorted by (src, dst) and spilled to `<prefix>.runN`.
-/// merge_rows() then streams every vertex's deduplicated, sorted row in
-/// vertex order to a callback — the PackWriter consumes rows directly, so
-/// no O(arcs) array ever exists in memory (peak extra state is one run
-/// buffer plus the merge readers). The emitted rows are a pure function of
-/// the arc multiset: independent of add() order, run boundaries and buffer
-/// capacity.
-class EdgeSpiller {
-public:
-    /// 2^22 arcs = 32 MiB of run buffer; page-backed, so each spill returns
-    /// the memory to the OS outright.
-    static constexpr std::size_t kDefaultRunArcs = std::size_t{1} << 22;
-
-    explicit EdgeSpiller(std::string spill_prefix,
-                         std::size_t run_arcs = kDefaultRunArcs);
-    ~EdgeSpiller();
-
-    EdgeSpiller(const EdgeSpiller&) = delete;
-    EdgeSpiller& operator=(const EdgeSpiller&) = delete;
-
-    /// One undirected edge -> two arcs; self-loops dropped.
-    void add(Vertex u, Vertex v) {
-        if (u == v) return;
-        push_arc(u, v);
-        push_arc(v, u);
-    }
-
-    /// Drains a chunked stream, retiring each chunk as it is consumed so the
-    /// slab storage unmaps while the runs spill.
-    void add_edges(ChunkedEdgeList&& edges);
-
-    [[nodiscard]] std::size_t run_count() const noexcept { return runs_; }
-    [[nodiscard]] std::uint64_t arc_count() const noexcept { return arcs_; }
-
-    /// Sorts and merges everything added so far and invokes `row` once per
-    /// vertex in [0, num_vertices), in order (empty rows included,
-    /// duplicate arcs collapsed). Returns the number of arcs kept. The
-    /// spiller is consumed: call at most once, and add nothing afterwards.
-    std::uint64_t merge_rows(Vertex num_vertices,
-                             const std::function<void(Vertex, std::span<const Vertex>)>& row);
-
-private:
-    void push_arc(Vertex src, Vertex dst) {
-        buffer_.push_back({src, dst});
-        ++arcs_;
-        if (buffer_.size() >= run_capacity_) spill();
-    }
-
-    void spill();
-    [[nodiscard]] std::string run_path(std::size_t index) const;
-
-    std::string prefix_;
-    std::size_t run_capacity_;
-    PageVector<Edge> buffer_;
-    std::size_t runs_ = 0;
-    std::uint64_t arcs_ = 0;
-    bool merged_ = false;
+/// What build_rows did: the vertex ranges it made and the arcs it fed them.
+struct RowBuildStats {
+    std::size_t ranges = 0;   ///< vertex ranges, one scatter pass over the stream each
+    std::uint64_t arcs = 0;   ///< arcs scattered (both directions, before dedup)
 };
+
+/// 2^22 arcs (16 MiB of Vertex slots): build_rows' row buffer budget.
+inline constexpr std::size_t kRowRangeArcs = std::size_t{1} << 22;
+
+/// Out-of-core row build: hands `row` the sorted, deduplicated adjacency row
+/// of every vertex in [0, num_vertices), in vertex order (empty rows
+/// included), without an O(arcs) array — girg/pack_io streams the rows into
+/// a PackWriter. The stream stays resident (the samplers materialize it
+/// before the build starts), so the passes run over it directly:
+///
+///  1. one parallel degree pass into u32 counters (self-loops dropped,
+///     endpoints checked against num_vertices), which also notes each
+///     chunk's endpoint span;
+///  2. a cut of [0, n) into consecutive ranges whose arcs fit `range_arcs`
+///     (a vertex with more arcs gets a range of its own);
+///  3. per range, a parallel atomic-cursor scatter of the arcs whose source
+///     lies in it into one reused buffer, then a parallel per-row sort —
+///     the row passes Graph's constructors run (graph/row_build.h). A range
+///     pass reads only the chunks whose span reaches into it, and releases
+///     each chunk no later range needs, so the stream drains as the rows
+///     are written and is consumed by the last pass;
+///  4. per row, duplicates collapsed on the way to `row`.
+///
+/// Rows are a pure function of the edge multiset: independent of chunk
+/// order, range boundaries, buffer size and thread count (0 = all hardware
+/// threads). `range_arcs` is a constant in production; tests shrink it to
+/// force many ranges.
+RowBuildStats build_rows(Vertex num_vertices, ChunkedEdgeList&& edges, unsigned threads,
+                         const std::function<void(std::span<const Vertex>)>& row,
+                         std::size_t range_arcs = kRowRangeArcs);
 
 }  // namespace smallworld

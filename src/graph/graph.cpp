@@ -1,14 +1,13 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <span>
 #include <vector>
 
 #include "core/check.h"
-
 #include "core/thread_pool.h"
 #include "graph/edge_stream.h"
+#include "graph/row_build.h"
 
 namespace smallworld {
 
@@ -88,33 +87,21 @@ Graph::Graph(Vertex num_vertices, std::span<const Edge> edges, unsigned threads)
     }
 
     // Parallel build: atomic degree count, serial prefix sum, atomic-cursor
-    // scatter, then chunked per-vertex sort/dedup. The scatter writes each
-    // list in a nondeterministic order, but sorting normalizes it — and
-    // duplicates are equal values — so the final CSR is byte-identical to
-    // the serial build for any thread count.
+    // scatter, then chunked per-vertex sort/dedup (graph/row_build.h). The
+    // scatter writes each list in a nondeterministic order, but sorting
+    // normalizes it — and duplicates are equal values — so the final CSR is
+    // byte-identical to the serial build for any thread count.
     //
-    // Counts and cursors live *inside* offsets_ via std::atomic_ref (see
-    // count_into_offsets / finish_offsets_after_scatter), so no n-sized
-    // scratch array exists — at 2^22 vertices that scratch would cost as
-    // much as the offsets array itself.
+    // Counts and cursors live *inside* offsets_, so no n-sized scratch
+    // array exists — at 2^22 vertices that scratch would cost as much as
+    // the offsets array itself.
     const std::size_t edge_blocks = block_count(edges.size());
-    count_into_offsets(num_vertices, threads, edge_blocks, [&](std::size_t block, auto&& tally) {
+    const auto for_each_block = [&](std::size_t block, auto&& fn) {
         const std::size_t begin = block * kBlockSize;
         const std::size_t end = std::min(begin + kBlockSize, edges.size());
-        for (std::size_t i = begin; i < end; ++i) tally(edges[i]);
-    });
-
-    parallel_for(
-        edge_blocks,
-        [&](std::size_t block) {
-            const std::size_t begin = block * kBlockSize;
-            const std::size_t end = std::min(begin + kBlockSize, edges.size());
-            for (std::size_t i = begin; i < end; ++i) scatter_edge(edges[i]);
-        },
-        threads);
-
-    finish_offsets_after_scatter();
-    sort_rows_and_dedup(threads);
+        for (std::size_t i = begin; i < end; ++i) fn(edges[i]);
+    };
+    build_csr(num_vertices, threads, edge_blocks, for_each_block, for_each_block);
     GIRG_CHECK(offsets_.front() == 0 && offsets_.back() == adjacency_.size(),
                "CSR invariant broken after parallel build");
 }
@@ -126,137 +113,91 @@ Graph::Graph(Vertex num_vertices, ChunkedEdgeList&& edges, unsigned threads) {
     // the CSR silently; fail loudly instead.
     GIRG_CHECK(edges.chunk_sizes_consistent(),
                "chunk totals mismatch: list size ", edges.size());
-    // Streaming CSR-direct build. Same structure as the parallel span build
-    // (count, prefix sum, atomic-cursor scatter, sort/dedup), but the passes
-    // iterate the chunk stream instead of a contiguous array, and the
-    // scatter pass retires each chunk right after draining it — edge storage
-    // shrinks chunk by chunk while the adjacency array grows, so the two
-    // never fully coexist and peak memory stays near max(edges, adjacency)
-    // instead of their sum.
-    const std::size_t chunks = edges.chunk_count();
-    count_into_offsets(num_vertices, threads, chunks, [&](std::size_t ci, auto&& tally) {
-        for (const auto& edge : edges.chunk(ci)) tally(edge);
-    });
-
-    parallel_for(
-        chunks,
-        [&](std::size_t ci) {
-            for (const auto& edge : edges.chunk(ci)) scatter_edge(edge);
-            edges.release_chunk(ci);
+    // Streaming CSR-direct build. Same passes as the parallel span build,
+    // but they iterate the chunk stream instead of a contiguous array, and
+    // the scatter pass retires each chunk right after draining it — edge
+    // storage shrinks chunk by chunk while the adjacency array grows, so the
+    // two never fully coexist and peak memory stays near max(edges,
+    // adjacency) instead of their sum.
+    build_csr(
+        num_vertices, threads, edges.chunk_count(),
+        [&](std::size_t ci, auto&& fn) {
+            for (const Edge& edge : edges.chunk(ci)) fn(edge);
         },
-        threads);
+        [&](std::size_t ci, auto&& fn) {
+            for (const Edge& edge : edges.chunk(ci)) fn(edge);
+            edges.release_chunk(ci);
+        });
     edges.mark_drained();
-
-    finish_offsets_after_scatter();
-    sort_rows_and_dedup(threads);
     GIRG_CHECK(offsets_.front() == 0 && offsets_.back() == adjacency_.size(),
                "CSR invariant broken after streaming build");
 }
 
-template <typename ForEachItem>
-void Graph::count_into_offsets(Vertex num_vertices, unsigned threads, std::size_t items,
-                               ForEachItem&& for_each_item) {
-    const std::size_t n = num_vertices;
-    offsets_.assign(n + 1, 0);
-    static_assert(std::atomic_ref<std::size_t>::required_alignment <= alignof(std::size_t),
-                  "offsets_ elements are not aligned for std::atomic_ref");
-    // LINT-ALLOW(relaxed): degree tallies are independent increments; the
-    // parallel_for join is the only ordering the prefix-sum pass needs.
-    constexpr auto relaxed = std::memory_order_relaxed;
-    parallel_for(
-        items,
-        [&](std::size_t item) {
-            for_each_item(item, [&](const Edge& edge) {
-                const auto& [u, v] = edge;
-                GIRG_CHECK(u < n && v < n, "edge (", u, ",", v,
-                           ") out of range for n=", n);
-                if (u == v) return;
-                std::atomic_ref<std::size_t>(offsets_[u + 1]).fetch_add(1, relaxed);
-                std::atomic_ref<std::size_t>(offsets_[v + 1]).fetch_add(1, relaxed);
-            });
-        },
-        threads);
-    for (std::size_t v = 0; v < n; ++v) offsets_[v + 1] += offsets_[v];
-    adjacency_.resize(offsets_.back());
+template <typename CountItem, typename ScatterItem>
+void Graph::build_csr(Vertex num_vertices, unsigned threads, std::size_t items,
+                      CountItem&& count_item, ScatterItem&& scatter_item) {
+    offsets_.assign(static_cast<std::size_t>(num_vertices) + 1, 0);
+    const std::span<std::size_t> counts(offsets_);
+    row_build::count_arcs(counts, items, threads, count_item);
+    adjacency_.resize(row_build::begin_range(counts, 0, num_vertices));
+    row_build::scatter_arcs(counts, 0, num_vertices, adjacency_.data(), items, threads,
+                            scatter_item);
+    // The advanced cursors are the row offsets; sort, then collapse
+    // parallel edges if there were any.
+    if (row_build::sort_rows(std::span<const std::size_t>(offsets_), 0, num_vertices,
+                             adjacency_.data(), threads)) {
+        compact_duplicates(threads);
+    }
 }
 
-void Graph::finish_offsets_after_scatter() noexcept {
-    // scatter_edge used offsets_[v] as vertex v's write cursor, so each slot
-    // has advanced to the end of its row — which is the start of row v + 1.
-    // Shifting one slot right restores the offsets invariant in place.
-    for (std::size_t v = offsets_.size() - 1; v > 0; --v) offsets_[v] = offsets_[v - 1];
-    offsets_[0] = 0;
-}
-
-void Graph::sort_rows_and_dedup(unsigned threads) {
+void Graph::compact_duplicates(unsigned threads) {
     const std::size_t n = num_vertices();
-    std::atomic<bool> had_duplicates{false};
     const std::size_t vertex_blocks = block_count(n);
+    // Compact in parallel: per-vertex unique counts, prefix sum, then a
+    // second pass copies each deduplicated list into its final slot.
+    std::vector<std::size_t> unique(n, 0);
     parallel_for(
         vertex_blocks,
         [&](std::size_t block) {
             const std::size_t begin = block * kBlockSize;
             const std::size_t end = std::min(begin + kBlockSize, n);
-            bool local_duplicates = false;
             for (std::size_t v = begin; v < end; ++v) {
-                auto first = adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets_[v]);
-                auto last = adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets_[v + 1]);
-                std::sort(first, last);
-                if (std::adjacent_find(first, last) != last) local_duplicates = true;
+                const Vertex* first = adjacency_.data() + offsets_[v];
+                const Vertex* last = adjacency_.data() + offsets_[v + 1];
+                std::size_t kept = 0;
+                Vertex prev = kNoVertex;
+                for (const Vertex* it = first; it != last; ++it) {
+                    if (*it != prev) ++kept;
+                    prev = *it;
+                }
+                unique[v] = kept;
             }
-            // LINT-ALLOW(relaxed): single write-once flag, read only after the barrier
-            if (local_duplicates) had_duplicates.store(true, std::memory_order_relaxed);
         },
         threads);
 
-    // LINT-ALLOW(relaxed): the parallel_for join ordered every store above
-    if (had_duplicates.load(std::memory_order_relaxed)) {
-        // Compact in parallel: per-vertex unique counts, prefix sum, then a
-        // second pass copies each deduplicated list into its final slot.
-        std::vector<std::size_t> unique(n, 0);
-        parallel_for(
-            vertex_blocks,
-            [&](std::size_t block) {
-                const std::size_t begin = block * kBlockSize;
-                const std::size_t end = std::min(begin + kBlockSize, n);
-                for (std::size_t v = begin; v < end; ++v) {
-                    const Vertex* first = adjacency_.data() + offsets_[v];
-                    const Vertex* last = adjacency_.data() + offsets_[v + 1];
-                    std::size_t kept = 0;
-                    Vertex prev = kNoVertex;
-                    for (const Vertex* it = first; it != last; ++it) {
-                        if (*it != prev) ++kept;
-                        prev = *it;
-                    }
-                    unique[v] = kept;
-                }
-            },
-            threads);
+    std::vector<std::size_t> new_offsets(n + 1, 0);
+    for (std::size_t v = 0; v < n; ++v) new_offsets[v + 1] = new_offsets[v] + unique[v];
 
-        std::vector<std::size_t> new_offsets(n + 1, 0);
-        for (std::size_t v = 0; v < n; ++v) new_offsets[v + 1] = new_offsets[v] + unique[v];
-
-        AdjacencyVector compact(new_offsets.back());
-        parallel_for(
-            vertex_blocks,
-            [&](std::size_t block) {
-                const std::size_t begin = block * kBlockSize;
-                const std::size_t end = std::min(begin + kBlockSize, n);
-                for (std::size_t v = begin; v < end; ++v) {
-                    const Vertex* first = adjacency_.data() + offsets_[v];
-                    const Vertex* last = adjacency_.data() + offsets_[v + 1];
-                    Vertex* out = compact.data() + new_offsets[v];
-                    Vertex prev = kNoVertex;
-                    for (const Vertex* it = first; it != last; ++it) {
-                        if (*it != prev) *out++ = *it;
-                        prev = *it;
-                    }
+    AdjacencyVector compact(new_offsets.back());
+    parallel_for(
+        vertex_blocks,
+        [&](std::size_t block) {
+            const std::size_t begin = block * kBlockSize;
+            const std::size_t end = std::min(begin + kBlockSize, n);
+            for (std::size_t v = begin; v < end; ++v) {
+                const Vertex* first = adjacency_.data() + offsets_[v];
+                const Vertex* last = adjacency_.data() + offsets_[v + 1];
+                Vertex* out = compact.data() + new_offsets[v];
+                Vertex prev = kNoVertex;
+                for (const Vertex* it = first; it != last; ++it) {
+                    if (*it != prev) *out++ = *it;
+                    prev = *it;
                 }
-            },
-            threads);
-        offsets_ = std::move(new_offsets);
-        adjacency_ = std::move(compact);
-    }
+            }
+        },
+        threads);
+    offsets_ = std::move(new_offsets);
+    adjacency_ = std::move(compact);
 }
 
 bool Graph::has_edge(Vertex u, Vertex v) const noexcept {

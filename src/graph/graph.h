@@ -1,7 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -136,45 +135,18 @@ public:
     [[nodiscard]] std::span<const Vertex> raw_adjacency() const noexcept { return adjacency_; }
 
 private:
-    // Shared machinery of the parallel and streaming builds. Degree counts
-    // and scatter cursors live inside offsets_ itself (std::atomic_ref), so
-    // construction needs no n-sized scratch array:
-    //   1. count_into_offsets — atomically tally degrees into offsets_[v+1],
-    //      prefix-sum, and size the adjacency array;
-    //   2. scatter_edge (parallel, any order) — offsets_[v] is v's cursor;
-    //   3. finish_offsets_after_scatter — shift the advanced cursors back
-    //      into row offsets;
-    //   4. sort_rows_and_dedup.
-    template <typename ForEachItem>
-    void count_into_offsets(Vertex num_vertices, unsigned threads, std::size_t items,
-                            ForEachItem&& for_each_item);
+    /// The parallel and streaming builds: the row passes of
+    /// graph/row_build.h over one range holding every vertex, with degree
+    /// counts and scatter cursors living inside offsets_ itself, so
+    /// construction needs no n-sized scratch array. `count_item` and
+    /// `scatter_item` read work item i's edges (the scatter's may also free
+    /// them once read).
+    template <typename CountItem, typename ScatterItem>
+    void build_csr(Vertex num_vertices, unsigned threads, std::size_t items,
+                   CountItem&& count_item, ScatterItem&& scatter_item);
 
-    // offsets_ elements double as atomic cursors during construction; the
-    // vector's allocator guarantees natural alignment, pinned here so a
-    // future element-type change cannot silently break lock-freedom.
-    static_assert(std::atomic_ref<std::size_t>::required_alignment <= alignof(std::size_t),
-                  "offsets_ elements are not aligned for std::atomic_ref");
-
-    /// Claims the next adjacency slot of vertex v's row during the scatter.
-    /// Rows are disjoint, and the pool barrier publishes every scattered
-    /// entry before any thread reads the adjacency.
-    // LINT-ALLOW(relaxed): slot claims are independent; the pool barrier publishes
-    [[nodiscard]] std::size_t claim_slot(Vertex v) noexcept {
-        return std::atomic_ref<std::size_t>(offsets_[v]).fetch_add(1, std::memory_order_relaxed);
-    }
-
-    void scatter_edge(const Edge& edge) noexcept {
-        const auto& [u, v] = edge;
-        if (u == v) return;
-        adjacency_[claim_slot(u)] = v;
-        adjacency_[claim_slot(v)] = u;
-    }
-
-    void finish_offsets_after_scatter() noexcept;
-
-    /// Sorts every adjacency row and collapses duplicates (parallel over
-    /// vertex blocks); shared tail of the parallel and streaming builds.
-    void sort_rows_and_dedup(unsigned threads);
+    /// Collapses the duplicates of sorted rows (parallel over vertex blocks).
+    void compact_duplicates(unsigned threads);
 
     using AdjacencyVector = std::vector<Vertex, DefaultInitAllocator<Vertex>>;
 

@@ -17,7 +17,9 @@ PointCloud sample_poisson_point_process(double intensity, int dim, Rng& rng) {
     if (!(intensity >= 0.0)) {
         throw std::invalid_argument("sample_poisson_point_process: intensity must be >= 0");
     }
-    const std::uint64_t count = rng.poisson(intensity);
+    // std::poisson_distribution requires a positive mean (libstdc++ asserts
+    // it under _GLIBCXX_ASSERTIONS); intensity 0 has no points and no draw.
+    const std::uint64_t count = intensity > 0.0 ? rng.poisson(intensity) : 0;
     return sample_uniform_points(static_cast<std::size_t>(count), dim, rng);
 }
 

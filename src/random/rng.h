@@ -77,7 +77,14 @@ public:
         if (p >= 1.0) return 0;
         double u = uniform();
         if (u <= 0.0) u = 0x1.0p-53;
-        const double skip = std::floor(std::log(u) / std::log1p(-p));
+        return skip_from_uniform(u, std::log1p(-p));
+    }
+
+    /// The skip geometric_skip(p) derives from its uniform draw u (u > 0),
+    /// given log_q = log1p(-p) for p < 1. Exposed so a caller drawing many
+    /// skips for one p evaluates log1p once and gets the identical values.
+    [[nodiscard]] static std::uint64_t skip_from_uniform(double u, double log_q) noexcept {
+        const double skip = std::floor(std::log(u) / log_q);
         // Guard against overflow for absurdly small p.
         if (skip >= 9.2e18) return std::uint64_t{9'200'000'000'000'000'000ULL};
         return static_cast<std::uint64_t>(skip);

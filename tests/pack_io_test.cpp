@@ -14,6 +14,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,7 +30,9 @@
 #include "girg/fingerprint.h"
 #include "girg/generator.h"
 #include "girg/pack_io.h"
+#include "graph/edge_stream.h"
 #include "graph/packed_graph.h"
+#include "random/rng.h"
 
 namespace smallworld {
 namespace {
@@ -271,7 +274,7 @@ TEST(PackRoundTrip, WriterIsDeterministic) {
 class PackOutOfCore : public ::testing::TestWithParam<bool> {};
 
 TEST_P(PackOutOfCore, FileBytesMatchResidentBuild) {
-    // The spill-sort-merge pipeline must hit the exact bytes the resident
+    // The out-of-core row build must hit the exact bytes the resident
     // CSR path writes: same RNG consumption, same Morton relabeling, same
     // rows, same digests — the whole point of extracting the generator's
     // attribute/edge-stream internals.
@@ -301,35 +304,110 @@ INSTANTIATE_TEST_SUITE_P(RawAndCompressed, PackOutOfCore, ::testing::Bool(),
                              return info.param ? "compressed" : "raw";
                          });
 
+/// A chunk stream holding `edges` in order, cut into several producer
+/// sinks the way the sampler's tasks emit them.
+ChunkedEdgeList chunk_stream(const std::vector<Edge>& edges) {
+    auto arena = std::make_shared<EdgeArena>();
+    ChunkedEdgeList stream(arena);
+    constexpr std::size_t kPerSink = 97;
+    for (std::size_t begin = 0; begin < edges.size(); begin += kPerSink) {
+        ChunkedEdgeSink sink(arena);
+        const std::size_t end = std::min(edges.size(), begin + kPerSink);
+        for (std::size_t i = begin; i < end; ++i) sink.emit(edges[i].first, edges[i].second);
+        stream.splice(sink.take());
+    }
+    return stream;
+}
+
+/// Hand-built multigraph on n = 900: isolated vertices first, in the middle
+/// and last; a hub whose degree exceeds a 2^8-arc budget; random edges
+/// elsewhere; plus self-loops and duplicate edges in both orientations.
+std::vector<Edge> range_build_edges() {
+    const auto isolated = [](Vertex v) {
+        return v < 5 || (v >= 450 && v < 460) || v >= 890;
+    };
+    std::vector<Edge> edges;
+    Rng rng(2020);
+    const auto random_vertex = [&] {
+        Vertex v = 0;
+        do {
+            v = static_cast<Vertex>(rng.uniform_index(900));
+        } while (isolated(v));
+        return v;
+    };
+    for (Vertex v = 5; v < 890; v += 2) {
+        if (!isolated(v) && v != 100) edges.emplace_back(100, v);  // hub degree > 256
+    }
+    for (int i = 0; i < 3000; ++i) edges.emplace_back(random_vertex(), random_vertex());
+    for (int i = 0; i < 40; ++i) {
+        const Vertex v = random_vertex();
+        edges.emplace_back(v, v);  // self-loop
+    }
+    for (std::size_t i = 0; i < 400; i += 7) {
+        edges.emplace_back(edges[i].second, edges[i].first);  // reversed duplicate
+        edges.push_back(edges[i + 1]);                        // exact duplicate
+    }
+    return edges;
+}
+
 TEST(PackOutOfCore, SpilledRunsMergeToTheSameBytes) {
-    // Force the spiller through its k-way-merge path by shrinking the run
-    // buffer far below the arc count; the merged pack must still be
-    // byte-identical to the single-run (in-memory sort) build.
-    const GirgParams params = pack_params(800);
-    const Girg girg = generate_girg(params, 23);
-
-    const std::string direct_path = temp_pack_path("direct.girgpack");
-    (void)write_girg_pack(direct_path, girg, {true, 23});
-
-    EdgeSpiller spiller(temp_pack_path("spill_test"), /*run_arcs=*/1024);
-    for (Vertex v = 0; v < girg.num_vertices(); ++v) {
-        for (const Vertex u : girg.graph.neighbors(v)) {
-            if (u > v) spiller.add(v, u);
+    // The row build under a tiny budget: many ranges, a hub that gets a
+    // range of its own, isolated vertices at both ends and in the middle,
+    // self-loops and duplicates. Every file must be byte-identical to
+    // write_girg_pack of the resident Graph built from the same stream.
+    constexpr std::size_t kBudget = std::size_t{1} << 8;
+    struct Case {
+        Vertex n;
+        std::vector<Edge> edges;
+    };
+    const std::vector<Case> cases = {
+        {900, range_build_edges()},
+        {40, {}},                            // edgeless
+        {40, {{3, 3}, {17, 17}, {39, 39}}},  // self-loops only
+    };
+    for (const Case& c : cases) {
+        Girg girg;
+        girg.params = pack_params(static_cast<double>(c.n));
+        girg.weights.assign(c.n, girg.params.wmin);
+        girg.positions.dim = girg.params.dim;
+        Rng rng(c.n);
+        for (std::size_t k = 0; k < 2 * static_cast<std::size_t>(c.n); ++k) {
+            girg.positions.coords.push_back(rng.uniform());
+        }
+        girg.graph = Graph(c.n, chunk_stream(c.edges));
+        if (c.n == 900) {
+            ASSERT_GT(girg.graph.degree(100), kBudget);
+            ASSERT_TRUE(girg.graph.neighbors(0).empty());
+            ASSERT_TRUE(girg.graph.neighbors(455).empty());
+            ASSERT_TRUE(girg.graph.neighbors(899).empty());
+        }
+        for (const bool compress : {false, true}) {
+            const std::string direct_path = temp_pack_path("direct.girgpack");
+            (void)write_girg_pack(direct_path, girg, {compress, 23});
+            const std::vector<std::uint8_t> direct = read_file(direct_path);
+            std::remove(direct_path.c_str());
+            for (const unsigned threads : {1U, 2U, 8U}) {
+                const std::string ranged_path = temp_pack_path("ranged.girgpack");
+                PackWriter writer(ranged_path, c.n, to_packed_params(girg.params, 23),
+                                  girg.weights, girg.positions.coords, compress);
+                const RowBuildStats stats = build_rows(
+                    c.n, chunk_stream(c.edges), threads,
+                    [&](std::span<const Vertex> row) { writer.add_row(row); }, kBudget);
+                (void)writer.finish();
+                const auto loops = std::count_if(c.edges.begin(), c.edges.end(),
+                                                 [](const Edge& e) { return e.first == e.second; });
+                EXPECT_EQ(stats.arcs, 2 * (c.edges.size() - static_cast<std::size_t>(loops)));
+                if (c.n == 900) {
+                    EXPECT_GE(stats.ranges, 10U);
+                } else {
+                    EXPECT_EQ(stats.ranges, 1U);
+                }
+                EXPECT_EQ(read_file(ranged_path), direct)
+                    << "n=" << c.n << " compress=" << compress << " threads=" << threads;
+                std::remove(ranged_path.c_str());
+            }
         }
     }
-    EXPECT_GT(spiller.run_count(), 2u) << "run buffer did not force spills";
-
-    const std::string merged_path = temp_pack_path("merged.girgpack");
-    PackWriter writer(merged_path, girg.num_vertices(),
-                      to_packed_params(params, 23), girg.weights,
-                      girg.positions.coords, /*compress=*/true);
-    spiller.merge_rows(girg.num_vertices(),
-                       [&](Vertex, std::span<const Vertex> row) { writer.add_row(row); });
-    (void)writer.finish();
-
-    EXPECT_EQ(read_file(merged_path), read_file(direct_path));
-    std::remove(direct_path.c_str());
-    std::remove(merged_path.c_str());
 }
 
 // --------------------------------------------------------------- corruption

@@ -7,10 +7,10 @@
 //   girg-pack verify   --in girg.pack
 //   girg-pack info     --in girg.pack
 //
-// `generate` builds the pack out-of-core by default (sort-spilled runs +
-// k-way merge; no resident CSR), so instances larger than memory still pack;
-// `--resident 1` forces the in-memory pipeline — both produce byte-identical
-// files. `convert` ingests the text format of girg/io.h. `verify` runs the
+// `generate` builds the pack out-of-core by default (range passes over the
+// sampled edge stream into the writer; no resident CSR and no temporary
+// files); `--resident 1` forces the in-memory pipeline — both produce
+// byte-identical files. `convert` ingests the text format of girg/io.h. `verify` runs the
 // deep structural scan and recomputes the fingerprint from the mapped
 // attribute and adjacency sections. `info` prints the header and section
 // table without touching the adjacency.
@@ -111,7 +111,7 @@ int run_generate(const Args& args) {
         print_file_info(info, girg.num_vertices());
     } else {
         const PackBuildStats stats = pack_girg_out_of_core(out, params, seed, {}, options);
-        std::cout << "generated (out-of-core, " << stats.spill_runs << " spilled runs, "
+        std::cout << "generated (out-of-core, " << stats.row_ranges << " row ranges, "
                   << stats.sampled_arcs << " sampled arcs) " << out << "\n";
         print_file_info(stats.file, stats.num_vertices);
     }
