@@ -6,8 +6,7 @@
 //
 //   {plain labels, Morton labels} x {legacy per-call objective, memoized
 //   batched objective} plus the SIMD ablation ladder on Morton labels:
-//   +SoA scalar kernels, +AVX2 vector kernels, +next-hop prefetch,
-//   +cohort-shared memo pool
+//   +SoA scalar kernels, +AVX2 vector kernels, +cohort-shared memo pool
 //
 // on the *same physical graph and the same physical (s,t) pairs*, so the
 // measured separation is purely the evaluation pipeline, not the workload.
@@ -119,7 +118,7 @@ struct CellResult {
 /// delivered/hops tallies are label-invariant, so every cell must agree.
 template <typename MakeObjective>
 CellResult run_cell(const SweepWorkload& workload, const MakeObjective& make_objective,
-                    int reps, unsigned threads, const RoutingOptions& routing = {}) {
+                    int reps, unsigned threads) {
     const GreedyRouter router;
     CellResult result;
     for (int rep = 0; rep < reps; ++rep) {
@@ -133,7 +132,7 @@ CellResult run_cell(const SweepWorkload& workload, const MakeObjective& make_obj
                 CellResult& local = per_target[t];
                 for (const Vertex source : sources) {
                     const RoutingResult routed =
-                        router.route(workload.girg->graph, *objective, source, routing);
+                        router.route(workload.girg->graph, *objective, source);
                     ++local.attempts;
                     local.hops += routed.steps();
                     if (routed.success()) ++local.delivered;
@@ -235,36 +234,25 @@ int run_sweep(const std::string& output_path, bool smoke) {
         options.pool = cohort_pool;
         return std::make_unique<GirgObjective>(girg, target, options);
     };
-    RoutingOptions no_prefetch;
-    no_prefetch.prefetch = false;
-    const RoutingOptions with_prefetch;
-
     // Single-thread ablation: the acceptance speedup must come from cache
     // locality + the vectorized evaluation pipeline, not from core count.
-    // Prefetch stays off until its own ablation cell so each rung isolates
-    // one change.
+    // Every cell routes with GreedyRouter, which prefetches the next hop's
+    // row unconditionally.
     struct Cell {
         const char* name;
         CellResult result;
     };
     std::vector<Cell> cells;
     std::cerr << "sweep: single-thread ablation...\n";
+    cells.push_back({"plain_legacy", run_cell(plain_workload, make_legacy, kReps, 1)});
+    cells.push_back({"plain_memoized", run_cell(plain_workload, make_memoized, kReps, 1)});
+    cells.push_back({"relabeled_legacy", run_cell(relabeled_workload, make_legacy, kReps, 1)});
     cells.push_back(
-        {"plain_legacy", run_cell(plain_workload, make_legacy, kReps, 1, no_prefetch)});
+        {"relabeled_memoized", run_cell(relabeled_workload, make_memoized, kReps, 1)});
+    cells.push_back({"relabeled_soa", run_cell(relabeled_workload, make_soa, kReps, 1)});
+    cells.push_back({"relabeled_simd", run_cell(relabeled_workload, make_simd, kReps, 1)});
     cells.push_back(
-        {"plain_memoized", run_cell(plain_workload, make_memoized, kReps, 1, no_prefetch)});
-    cells.push_back({"relabeled_legacy",
-                     run_cell(relabeled_workload, make_legacy, kReps, 1, no_prefetch)});
-    cells.push_back({"relabeled_memoized",
-                     run_cell(relabeled_workload, make_memoized, kReps, 1, no_prefetch)});
-    cells.push_back({"relabeled_soa",
-                     run_cell(relabeled_workload, make_soa, kReps, 1, no_prefetch)});
-    cells.push_back({"relabeled_simd",
-                     run_cell(relabeled_workload, make_simd, kReps, 1, no_prefetch)});
-    cells.push_back({"relabeled_simd_prefetch",
-                     run_cell(relabeled_workload, make_simd, kReps, 1, with_prefetch)});
-    cells.push_back({"relabeled_simd_cohort",
-                     run_cell(relabeled_workload, make_cohort, kReps, 1, with_prefetch)});
+        {"relabeled_simd_cohort", run_cell(relabeled_workload, make_cohort, kReps, 1)});
     for (const Cell& cell : cells) {
         std::cerr << "sweep: " << cell.name << " " << cell.result.seconds << "s  "
                   << static_cast<double>(cell.result.attempts) / cell.result.seconds
@@ -284,8 +272,8 @@ int run_sweep(const std::string& output_path, bool smoke) {
     }
 
     // Thread sweep of the per-target pipeline on the production
-    // configuration (relabeled + SIMD + prefetch + cohort pool; the locked
-    // pool is shared across workers).
+    // configuration (relabeled + SIMD + cohort pool; the locked pool is
+    // shared across workers).
     struct ThreadRow {
         unsigned threads;
         CellResult result;
@@ -294,8 +282,7 @@ int run_sweep(const std::string& output_path, bool smoke) {
     std::cerr << "sweep: thread sweep...\n";
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
         thread_rows.push_back(
-            {threads,
-             run_cell(relabeled_workload, make_cohort, kReps, threads, with_prefetch)});
+            {threads, run_cell(relabeled_workload, make_cohort, kReps, threads)});
         const ThreadRow& row = thread_rows.back();
         if (row.result.delivered != cells.front().result.delivered ||
             row.result.hops != cells.front().result.hops) {
@@ -348,7 +335,7 @@ int run_sweep(const std::string& output_path, bool smoke) {
     ablation << "  ]";
     json.field_raw("single_thread_ablation", ablation.str());
     json.field("single_thread_speedup", best_rate / base_rate);
-    // The PR-7 acceptance ratio: full SIMD+prefetch+cohort configuration
+    // The PR-7 acceptance ratio: full SIMD+cohort configuration
     // against the pre-SIMD memoized production path, same labels, same pairs.
     json.field("simd_cohort_speedup_vs_relabeled_memoized", best_rate / memoized_rate);
 

@@ -226,7 +226,7 @@ int run_sweep(const std::string& output_path, bool smoke) {
         ServingOptions options;
         options.latency = *model;
         options.positions = &girg.positions;
-        options.faults = cell.faulted ? &faults : nullptr;
+        options.routing.faults = cell.faulted ? &faults : nullptr;
         options.queue_capacity = cell.queue_capacity;
         options.seed = 83003;
 

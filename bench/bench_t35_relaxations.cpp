@@ -9,7 +9,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
-#include "core/faulty.h"
 #include "core/greedy.h"
 
 namespace smallworld::bench {
@@ -51,10 +50,11 @@ void t35_faulty(benchmark::State& state) {
     config.targets = 12;
     config.sources_per_target = 32;
     config.restrict_to_giant = true;
-    const FaultyLinkGreedyRouter router(failure, /*seed=*/31337);
+    config.faults.seed = 31337;
+    config.faults.link_failure_prob = failure;
     TrialStats stats;
     for (auto _ : state) {
-        stats = run_girg_trials(girg, router, girg_objective_factory(), config, 11001);
+        stats = run_girg_trials(girg, GreedyRouter{}, girg_objective_factory(), config, 11001);
     }
     report_stats(state, stats);
     state.counters["link_failure_prob"] = failure;

@@ -6,7 +6,8 @@
 //
 // Two failure models on one GIRG:
 //  * transient: every link is independently down with probability p at
-//    each hop (interface resets, congestion) — FaultyLinkGreedyRouter;
+//    each hop (interface resets, congestion) — GreedyRouter under a
+//    FaultPlan;
 //  * permanent: a fraction of links is deleted outright (fiber cuts) and
 //    the protocols run on the degraded topology.
 //
@@ -14,7 +15,6 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "core/faulty.h"
 #include "core/gravity_pressure.h"
 #include "core/greedy.h"
 #include "core/phi_dfs.h"
@@ -63,9 +63,11 @@ int main(int argc, char** argv) {
     // ---- transient link failures ----------------------------------------
     Table transient({"per-hop link failure", "delivery", "mean hops"});
     for (const double p : {0.0, 0.1, 0.3, 0.5}) {
-        const FaultyLinkGreedyRouter router(p, seed + 7);
-        const auto stats =
-            run_girg_trials(girg, router, girg_objective_factory(), config, seed + 1);
+        TrialConfig faulted = config;
+        faulted.faults.seed = seed + 7;
+        faulted.faults.link_failure_prob = p;
+        const auto stats = run_girg_trials(girg, GreedyRouter{}, girg_objective_factory(),
+                                           faulted, seed + 1);
         transient.add_row().cell(p, 2).cell(stats.success_rate(), 4).cell(
             stats.hops.mean(), 2);
     }

@@ -76,113 +76,4 @@ FaultState::FaultState(const GraphView& graph, const FaultPlan& plan,
     num_crashed_ = k;
 }
 
-RoutingResult route_greedy_faulted(const GraphView& graph, const Objective& objective,
-                                   Vertex source, const RoutingOptions& options,
-                                   FaultView faults, AdversaryView adversary) {
-    RoutingResult result;
-    result.path.push_back(source);
-    const std::size_t max_steps = options.effective_max_steps(graph.num_vertices());
-    const Vertex target = objective.target();
-
-    Vertex current = source;
-    if (!faults.vertex_alive(current) && current != target) {
-        // A crashed source cannot even emit the packet.
-        result.status = RoutingStatus::kDeadEnd;
-        return result;
-    }
-    std::vector<Vertex> adv_scratch;  // advertised-neighbor merge buffer
-    std::vector<double> values;       // the scanned row's (claimed) objectives
-    int streak = 0;  // consecutive all-improving-links-down epochs
-    while (true) {
-        // Arrival before budget (the PR-1 boundary convention), budget
-        // before any further decision: a wait-out hop that lands exactly on
-        // the budget reports kStepLimit, not kDeadEnd.
-        if (current == target) {
-            result.status = RoutingStatus::kDelivered;
-            return result;
-        }
-        if (result.steps() + result.retries >= max_steps) {
-            result.status = RoutingStatus::kStepLimit;
-            return result;
-        }
-        const bool holder_lies = adversary.advertises_phantoms(current);
-        const std::span<const Vertex> neighborhood =
-            adversary.active() ? adversary.advertised_neighbors(graph, current, adv_scratch)
-                               : graph.neighbors(current);
-        // One batched values() call per scan; phi is pure, so evaluating
-        // unusable neighbors too only warms the memo.
-        values.resize(neighborhood.size());
-        objective.values(neighborhood, values.data());
-        Vertex next = kNoVertex;
-        if (adversary.misroutes(current)) {
-            // A misrouting holder ignores the protocol: the packet goes to
-            // the *worst* advertised usable neighbor by claimed value
-            // (first-min in list order), improving or not.
-            double worst_value = 0.0;
-            bool any_usable = false;
-            for (std::size_t i = 0; i < neighborhood.size(); ++i) {
-                const Vertex u = neighborhood[i];
-                if (!faults.usable(current, u)) continue;
-                any_usable = true;
-                if (!faults.link_up(current, u)) continue;
-                if (next == kNoVertex || values[i] < worst_value) {
-                    next = u;
-                    worst_value = values[i];
-                }
-            }
-            faults.advance_epoch();
-            if (next == kNoVertex && !any_usable) {
-                result.status = RoutingStatus::kDeadEnd;  // isolated liar
-                return result;
-            }
-        } else {
-            const double current_value = objective.value(current);
-            double best_value = current_value;
-            bool any_improving = false;
-            for (std::size_t i = 0; i < neighborhood.size(); ++i) {
-                const Vertex u = neighborhood[i];
-                if (!faults.usable(current, u)) continue;  // residual filter
-                if (!(values[i] > current_value)) continue;
-                any_improving = true;
-                if (faults.link_up(current, u) && values[i] > best_value) {
-                    next = u;
-                    best_value = values[i];
-                }
-            }
-            faults.advance_epoch();
-            if (next == kNoVertex && !any_improving) {
-                result.status = RoutingStatus::kDeadEnd;  // genuine local optimum
-                return result;
-            }
-        }
-        if (next != kNoVertex) {
-            streak = 0;
-            result.path.push_back(next);
-            // A forward along an advertised-but-nonexistent link is
-            // swallowed; the attempted hop stays on the trace for the
-            // P-checker audit to flag as a non-edge move.
-            if (holder_lies && AdversaryView::phantom_link(graph, current, next)) {
-                result.status = RoutingStatus::kDeadEnd;
-                return result;
-            }
-            current = next;
-            // Blackholing byzantine vertices swallow everything they
-            // receive; arrival at the target is delivery regardless.
-            if (current != target && adversary.blackholes(current)) {
-                result.status = RoutingStatus::kDeadEnd;
-                return result;
-            }
-            continue;
-        }
-        // Every usable link is down this epoch: wait out one hop, give up
-        // after max_retries consecutive waits.
-        if (streak >= faults.max_retries()) {
-            result.status = RoutingStatus::kDeadEnd;
-            return result;
-        }
-        ++streak;
-        ++result.retries;
-    }
-}
-
 }  // namespace smallworld

@@ -4,8 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "core/adversary.h"
-#include "core/router.h"
 #include "graph/graph.h"
 #include "random/rng.h"
 #include "random/splitmix64.h"
@@ -23,11 +21,11 @@ enum class CrashSelection {
 };
 
 /// Declarative, counter-seeded description of every failure model the repo
-/// injects. One plan drives the centralized routers (via
-/// `RoutingOptions::faults`), the trial runner (`TrialConfig::faults`) and
-/// the distributed simulator (`FaultedSimulationOptions`). Every draw a plan
-/// causes is a pure function of (seed, stable keys) — never of execution
-/// order, thread count, or wall clock — so faulted runs replay bit for bit.
+/// injects. One plan, passed as `RoutingOptions::faults`, drives the
+/// centralized routers, the lockstep and serving simulators, and (via
+/// `TrialConfig::faults`) the trial runner. Every draw a plan causes is a
+/// pure function of (seed, stable keys) — never of execution order, thread
+/// count, or wall clock — so faulted runs replay bit for bit.
 struct FaultPlan {
     std::uint64_t seed = 0;  ///< root of all fault draws (RngStreams style)
 
@@ -46,20 +44,13 @@ struct FaultPlan {
     double crash_fraction = 0.0;
     CrashSelection crash_selection = CrashSelection::kRandom;
 
-    /// Distributed layer only: each send is independently lost in flight
-    /// with this probability (per-wake message loss, re-drawn per attempt).
+    /// Each send attempt is independently lost in flight with this
+    /// probability, in every router and simulator (re-drawn per attempt).
     double message_loss_prob = 0.0;
 
     /// Consecutive wait-out / re-send attempts tolerated before the packet
     /// is dropped. Each wait-out hop consumes one unit of the step budget.
     int max_retries = 3;
-
-    /// Compat switch for the pre-fault-layer `FaultyLinkGreedyRouter`: when
-    /// false, transient link draws ignore the route source (the legacy
-    /// global-epoch scheme), reproducing historical traces bit for bit.
-    /// Leave true everywhere else: per-source streams make fault draws for
-    /// different (source, hop) pairs independent, RngStreams style.
-    bool per_source_streams = true;
 
     /// True when any failure model is enabled; an inactive plan leaves every
     /// consumer on its unfaulted code path, byte for byte.
@@ -105,11 +96,9 @@ public:
 
     /// Root of the per-route fault stream: RngStreams counter-seeding keyed
     /// by the source, so fault draws for different (source, hop) pairs are
-    /// independent of trial execution order and thread count. The legacy
-    /// compat mode (per_source_streams == false) returns the raw plan seed,
-    /// matching the pre-fault-layer FaultyLinkGreedyRouter bit for bit.
+    /// independent of trial execution order and thread count.
     [[nodiscard]] std::uint64_t route_seed(Vertex source) const noexcept {
-        return plan_.per_source_streams ? streams_.stream_seed(source) : plan_.seed;
+        return streams_.stream_seed(source);
     }
 
     /// Uniform [0,1) coin derived from a hashed key (the 53-mantissa-bit
@@ -135,12 +124,12 @@ private:
     std::size_t num_crashed_ = 0;
 };
 
-/// Route-scoped view of a FaultState: the neighbor-filter seam every
-/// centralized router consumes. Default-constructed (or built from an
-/// inactive plan) it filters nothing and the router takes its unfaulted
-/// code path, byte-identical to pre-fault behavior. The view carries the
-/// route's epoch counter for transient link draws; it is cheap to copy and
-/// strictly single-route (never share across sources).
+/// Route-scoped view of a FaultState: the neighbor filter and the link and
+/// loss draws a route's Regime (core/regime.h) applies. Default-constructed
+/// (or built from an inactive plan) it filters nothing and the router takes
+/// its unfaulted code path, byte-identical to pre-fault behavior. The view
+/// carries the route's epoch counter for transient link draws; it is cheap
+/// to copy and strictly single-route (never share across sources).
 class FaultView {
 public:
     FaultView() = default;
@@ -191,13 +180,13 @@ public:
     }
 
     /// One epoch per hop attempt (a move or a wait-out), advanced by the
-    /// router's send path so transient states are re-drawn each attempt.
+    /// send path so transient states are re-drawn each attempt.
     void advance_epoch() noexcept { ++epoch_; }
     [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
 
-    /// Distributed layer: the send at `attempt` (a route-global counter) is
-    /// lost in flight. Keyed off the all-ones pseudo-edge, which no real
-    /// edge key can collide with (edge keys require lo < hi).
+    /// The send at `attempt` (a route-global counter) is lost in flight.
+    /// Keyed off the all-ones pseudo-edge, which no real edge key can
+    /// collide with (edge keys require lo < hi).
     [[nodiscard]] bool message_lost(std::uint64_t attempt) const noexcept {
         const double p = state_ != nullptr ? state_->plan().message_loss_prob : 0.0;
         if (p <= 0.0) return false;
@@ -212,27 +201,5 @@ private:
     std::uint64_t route_seed_ = 0;
     std::uint64_t epoch_ = 0;
 };
-
-/// Shared faulted greedy loop: greedy over the residual neighborhood with
-/// per-epoch link states — at each epoch the message goes to the best
-/// *available* improving neighbor; with every improving link down it waits
-/// out one hop (charged against the step budget) up to max_retries
-/// consecutive times, then drops. Used by GreedyRouter when a plan is
-/// active and by the FaultyLinkGreedyRouter compat adapter.
-///
-/// Under an active `adversary` view the caller passes the *claimed*
-/// objective (ClaimedObjective) and this loop adds the byzantine behaviors:
-/// scans advertised neighborhoods (phantom links included — a forward along
-/// one is swallowed with the attempted hop on the trace), byzantine holders
-/// with `misroute` override the greedy pick with their worst advertised
-/// usable neighbor, and a packet arriving at a `blackhole` byzantine vertex
-/// (never the target) is silently dropped. The default inactive view leaves
-/// the loop byte-identical to the fault-only path.
-[[nodiscard]] RoutingResult route_greedy_faulted(const GraphView& graph,
-                                                 const Objective& objective,
-                                                 Vertex source,
-                                                 const RoutingOptions& options,
-                                                 FaultView faults,
-                                                 AdversaryView adversary = {});
 
 }  // namespace smallworld

@@ -4,77 +4,35 @@
 #include <span>
 #include <vector>
 
-#include "core/fault.h"
+#include "core/regime.h"
 #include "core/vertex_table.h"
 
 namespace smallworld {
 
-namespace {
-
-RoutingResult route_impl(const GraphView& graph, const Objective& objective,
-                         Vertex source, const RoutingOptions& options,
-                         AdversaryView adversary) {
-    RoutingResult result;
-    result.path.push_back(source);
-    const std::size_t max_steps = options.effective_max_steps(graph.num_vertices());
-    const Vertex target = objective.target();
-    FaultView faults(options.faults, source);
-
-    if (faults.active() && !faults.vertex_alive(source) && source != target) {
-        // A crashed source cannot even emit the packet.
-        result.status = RoutingStatus::kDeadEnd;
-        return result;
-    }
+RoutingResult GravityPressureRouter::route(const GraphView& graph, const Objective& honest,
+                                           Vertex source,
+                                           const RoutingOptions& options) const {
+    Regime regime(graph, honest, source, options);
+    if (regime.source_crashed()) return regime.take();
+    const Objective& objective = regime.objective();
+    const FaultView& faults = regime.faults();
 
     VertexTable<std::size_t> visits;  // pressure-mode visits per vertex
     std::vector<double> scratch;  // batched neighbor objectives, reused per scan
-    std::vector<Vertex> adv_scratch;  // advertised-neighbor merge buffer
     bool pressure = false;
     double escape_value = 0.0;  // objective of the local optimum to beat
 
-    Vertex current = source;
-    while (true) {
-        // Arrival before budget (PR-1 convention); wait-out hops charge the
-        // budget, so steps()+retries is the consumed budget.
-        if (current == target) {
-            result.status = RoutingStatus::kDelivered;
-            return result;
-        }
-        if (result.steps() + result.retries >= max_steps) {
-            result.status = RoutingStatus::kStepLimit;
-            return result;
-        }
-
+    for (Vertex current = source; current != regime.target();) {
+        // A misrouting byzantine holder skips the protocol (pressure state
+        // and visit counts untouched): the regime's move picks its hop.
         Vertex next = kNoVertex;
-        if (adversary.misroutes(current)) {
-            // The byzantine holder ignores the protocol (pressure state and
-            // visit counts untouched): the packet goes to the *worst*
-            // advertised usable neighbor by claimed value, first-min in list
-            // order; the transient chokepoint below retries it verbatim.
-            const auto neighborhood =
-                adversary.advertised_neighbors(graph, current, adv_scratch);
-            double worst_value = 0.0;
-            for (const Vertex u : neighborhood) {
-                if (!faults.usable(current, u)) continue;
-                const double value = objective.value(u);
-                if (next == kNoVertex || value < worst_value) {
-                    next = u;
-                    worst_value = value;
-                }
-            }
-            if (next == kNoVertex) {
-                result.status = RoutingStatus::kDeadEnd;  // isolated liar
-                return result;
-            }
-        } else {
+        if (!regime.misroutes(current)) {
             // One batched values() pass over the advertised row serves the
             // step: the gravity argmax and, when that finds no improvement
             // or pressure is already on, the least-visited choice. Under an
             // adversary the row holds phantoms with claimed values; phi is
             // pure, so evaluating dead neighbors changes nothing.
-            const std::span<const Vertex> neighbors =
-                adversary.active() ? adversary.advertised_neighbors(graph, current, adv_scratch)
-                                   : graph.neighbors(current);
+            const std::span<const Vertex> neighbors = regime.row(current);
             scratch.resize(neighbors.size());
             objective.values(neighbors, scratch.data());
             const bool faulted = faults.active();
@@ -89,10 +47,8 @@ RoutingResult route_impl(const GraphView& graph, const Objective& objective,
                         best_value = scratch[i];
                     }
                 }
-                if (best == kNoVertex) {
-                    result.status = RoutingStatus::kDeadEnd;  // isolated in the residual graph
-                    return result;
-                }
+                // Isolated in the residual graph.
+                if (best == kNoVertex) return regime.finish(RoutingStatus::kDeadEnd);
                 const double current_value = objective.value(current);
                 if (best_value > current_value) {
                     next = best;
@@ -119,65 +75,16 @@ RoutingResult route_impl(const GraphView& graph, const Objective& objective,
                         best_value = u_value;
                     }
                 }
-                if (next == kNoVertex) {
-                    result.status = RoutingStatus::kDeadEnd;
-                    return result;
-                }
+                if (next == kNoVertex) return regime.finish(RoutingStatus::kDeadEnd);
                 if (best_value > escape_value) pressure = false;
             }
         }
-        if (faults.transient()) {
-            // Send chokepoint: the chosen move is retried verbatim while its
-            // link is down — a wait-out hop per epoch, charged against the
-            // budget — so the visit bookkeeping above runs once per decision.
-            // After max_retries consecutive waits the packet drops; a wait
-            // landing exactly on the budget reports kStepLimit instead.
-            int waits = 0;
-            while (!faults.link_up(current, next)) {
-                faults.advance_epoch();
-                if (waits >= faults.max_retries()) {
-                    result.status = RoutingStatus::kDeadEnd;  // dropped in flight
-                    return result;
-                }
-                ++waits;
-                ++result.retries;
-                if (result.steps() + result.retries >= max_steps) {
-                    result.status = RoutingStatus::kStepLimit;
-                    return result;
-                }
-            }
-            faults.advance_epoch();
-        }
-        result.path.push_back(next);
-        // A forward along an advertised-but-nonexistent link is swallowed;
-        // the attempted hop stays on the trace for the audit to flag.
-        if (adversary.advertises_phantoms(current) &&
-            AdversaryView::phantom_link(graph, current, next)) {
-            result.status = RoutingStatus::kDeadEnd;
-            return result;
-        }
-        current = next;
-        // Blackholing byzantine vertices swallow everything they receive;
-        // arrival at the target is delivery regardless.
-        if (current != target && adversary.blackholes(current)) {
-            result.status = RoutingStatus::kDeadEnd;
-            return result;
-        }
+        // The send chokepoint retries the chosen move verbatim while it
+        // fails, so the visit bookkeeping above runs once per decision.
+        current = regime.move(current, next);
+        if (current == kNoVertex) return regime.take();
     }
-}
-
-}  // namespace
-
-RoutingResult GravityPressureRouter::route(const GraphView& graph, const Objective& objective,
-                                           Vertex source,
-                                           const RoutingOptions& options) const {
-    if (options.adversary != nullptr && options.adversary->plan().any()) {
-        // Byzantine regime: gravity-pressure maximizes what vertices *claim*.
-        const ClaimedObjective claimed(objective, *options.adversary);
-        return route_impl(graph, claimed, source, options,
-                          AdversaryView(options.adversary));
-    }
-    return route_impl(graph, objective, source, options, {});
+    return regime.finish(RoutingStatus::kDelivered);
 }
 
 }  // namespace smallworld

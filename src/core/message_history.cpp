@@ -4,11 +4,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "core/check.h"
-#include "core/fault.h"
+#include "core/regime.h"
 #include "core/vertex_table.h"
 
 namespace smallworld {
@@ -129,35 +128,21 @@ public:
     Run(const GraphView& graph, const Objective& objective, Vertex source,
         const RoutingOptions& options)
         : graph_(graph),
-          objective_(objective),
-          source_(source),
-          max_steps_(options.effective_max_steps(graph.num_vertices())),
-          faults_(options.faults, source),
-          adversary_(options.adversary) {}
+          regime_(graph, objective, source, options),
+          objective_(regime_.objective()) {}
 
     RoutingResult execute() {
-        result_.path.push_back(source_);
-        if (faults_.active() && !faults_.vertex_alive(source_) &&
-            source_ != objective_.target()) {
-            // A crashed source cannot even emit the packet.
-            result_.status = RoutingStatus::kDeadEnd;
-            return result_;
-        }
-        Vertex current = source_;
-        while (true) {
-            if (current == objective_.target()) {
-                result_.status = RoutingStatus::kDelivered;
-                return result_;
-            }
+        if (regime_.source_crashed()) return regime_.take();
+        for (Vertex current = regime_.holder(); current != objective_.target();) {
             if (visited_.insert(current).second) {
                 // (P1) first-visit rule: from a newly visited vertex with a
                 // strictly better neighbor, proceed to the best neighbor.
                 const BestNeighbor best = record_first_visit(current);
                 if (best.vertex != kNoVertex && best.value > objective_.value(current)) {
-                    if (!move_to(best.vertex)) return result_;
+                    if (!move_to(best.vertex)) return regime_.take();
                     // A misrouting holder may have landed the packet
                     // somewhere other than `best`; resync from the trace.
-                    current = result_.path.back();
+                    current = regime_.holder();
                     continue;
                 }
             }
@@ -166,22 +151,20 @@ public:
             // unexplored edge, paying for the walk back through the visited
             // subgraph.
             const auto candidate = frontier_.top(visited_);
-            if (!candidate) {
-                result_.status = RoutingStatus::kExhausted;
-                return result_;
-            }
+            if (!candidate) return regime_.finish(RoutingStatus::kExhausted);
             if (candidate->from != current) {
-                if (!walk_within_visited(current, candidate->from)) return result_;
-                current = result_.path.back();
+                if (!walk_within_visited(current, candidate->from)) return regime_.take();
+                current = regime_.holder();
                 // Hijacked mid-walk: the unexplored edge stays in the
                 // frontier for a later retry, and the protocol resumes where
                 // the packet landed.
                 if (current != candidate->from) continue;
             }
             frontier_.pop();
-            if (!move_to(candidate->to)) return result_;
-            current = result_.path.back();
+            if (!move_to(candidate->to)) return regime_.take();
+            current = regime_.holder();
         }
+        return regime_.finish(RoutingStatus::kDelivered);
     }
 
 private:
@@ -190,14 +173,6 @@ private:
         std::uint32_t walk = 0;
         Vertex parent = kNoVertex;
     };
-
-    /// The neighborhood the protocol at v decides over: honest adjacency, or
-    /// the *advertised* row (phantoms merged) under an active adversary.
-    [[nodiscard]] std::span<const Vertex> scan_neighbors(Vertex v) {
-        return adversary_.active()
-                   ? adversary_.advertised_neighbors(graph_, v, adv_scratch_)
-                   : graph_.neighbors(v);
-    }
 
     /// One values() pass over v's advertised row, on v's first visit: files
     /// every usable neighbor as a frontier candidate and returns the (P1)
@@ -209,15 +184,16 @@ private:
     /// backtracked, and delivery is judged on the residual graph. Under an
     /// adversary, phantom links enter with claimed values.
     [[nodiscard]] BestNeighbor record_first_visit(Vertex v) {
-        const auto neighbors = scan_neighbors(v);
+        const auto neighbors = regime_.row(v);
         scratch_.resize(neighbors.size());
         objective_.values(neighbors, scratch_.data());
-        const bool faulted = faults_.active();
+        const FaultView& faults = regime_.faults();
+        const bool faulted = faults.active();
         BestNeighbor best;
         frontier_.open_block(v);
         for (std::size_t i = 0; i < neighbors.size(); ++i) {
             const Vertex u = neighbors[i];
-            if (faulted && !faults_.usable(v, u)) continue;
+            if (faulted && !faults.usable(v, u)) continue;
             const double value = scratch_[i];
             if (best.vertex == kNoVertex || value > best.value) best = {u, value};
             frontier_.add(value, u);
@@ -232,6 +208,7 @@ private:
         const std::uint32_t walk = ++walks_;
         *visited_.find(from) = {walk, from};
         queue_.assign(1, from);
+        const FaultView& faults = regime_.faults();
         for (std::size_t head = 0; head < queue_.size(); ++head) {
             const Vertex v = queue_[head];
             if (v == to) break;
@@ -239,7 +216,7 @@ private:
                 // Permanent faults only: the visited subgraph grew along
                 // usable edges, so the residual visited subgraph stays
                 // connected and the search below reaches `to`.
-                if (faults_.active() && !faults_.usable(v, u)) continue;
+                if (faults.active() && !faults.usable(v, u)) continue;
                 Visit* visit = visited_.find(u);
                 if (visit == nullptr || visit->walk == walk) continue;
                 *visit = {walk, v};
@@ -257,84 +234,18 @@ private:
             if (!move_to(*it)) return false;
             // A misrouting holder diverted the walk; the caller resyncs from
             // the trace and resumes the protocol at the landing vertex.
-            if (result_.path.back() != *it) return true;
+            if (regime_.holder() != *it) return true;
         }
         return true;
     }
 
-    /// Appends a message move; false when the budget is exhausted or the
-    /// packet drops in flight. Under transient link faults this is the send
-    /// chokepoint: a down link parks the message for an epoch (a wait-out
-    /// hop charged against the budget) up to max_retries consecutive times,
-    /// then the packet is dropped. A wait landing exactly on the budget
-    /// reports kStepLimit — budget beats retry exhaustion.
-    bool move_to(Vertex v) {
-        const Vertex from = result_.path.back();
-        if (adversary_.misroutes(from) && from != v) {
-            // The holder ignores the protocol's choice: worst advertised
-            // usable neighbor by claimed value (first-min in list order).
-            const auto neighborhood =
-                adversary_.advertised_neighbors(graph_, from, adv_scratch_);
-            Vertex worst = kNoVertex;
-            double worst_value = 0.0;
-            for (const Vertex u : neighborhood) {
-                if (!faults_.usable(from, u)) continue;
-                const double value = objective_.value(u);
-                if (worst == kNoVertex || value < worst_value) {
-                    worst = u;
-                    worst_value = value;
-                }
-            }
-            if (worst == kNoVertex) {
-                result_.status = RoutingStatus::kDeadEnd;  // isolated liar
-                return false;
-            }
-            v = worst;
-        }
-        if (faults_.transient()) {
-            int waits = 0;
-            while (!faults_.link_up(from, v)) {
-                faults_.advance_epoch();
-                if (waits >= faults_.max_retries()) {
-                    result_.status = RoutingStatus::kDeadEnd;  // dropped in flight
-                    return false;
-                }
-                ++waits;
-                ++result_.retries;
-                if (result_.steps() + result_.retries >= max_steps_) {
-                    result_.status = RoutingStatus::kStepLimit;
-                    return false;
-                }
-            }
-            faults_.advance_epoch();
-        }
-        if (result_.steps() + result_.retries >= max_steps_) {
-            result_.status = RoutingStatus::kStepLimit;
-            return false;
-        }
-        result_.path.push_back(v);
-        // A forward along an advertised-but-nonexistent link is swallowed;
-        // the attempted hop stays on the trace for the audit to flag.
-        if (adversary_.advertises_phantoms(from) &&
-            AdversaryView::phantom_link(graph_, from, v)) {
-            result_.status = RoutingStatus::kDeadEnd;
-            return false;
-        }
-        // Blackholing byzantine vertices swallow everything they receive;
-        // arrival at the target is delivery regardless.
-        if (v != objective_.target() && adversary_.blackholes(v)) {
-            result_.status = RoutingStatus::kDeadEnd;
-            return false;
-        }
-        return true;
-    }
+    /// Sends the message to v through the regime's chokepoint; false when
+    /// the route ended there. A misrouting holder may land it elsewhere.
+    bool move_to(Vertex v) { return regime_.move(regime_.holder(), v) != kNoVertex; }
 
     const GraphView& graph_;
-    const Objective& objective_;
-    Vertex source_;
-    std::size_t max_steps_;
-    FaultView faults_;        // route-scoped; inactive when no plan is set
-    AdversaryView adversary_; // shared-state view; inactive when no plan is set
+    Regime regime_;              // faults, liars, budget and the result
+    const Objective& objective_; // the regime's (claimed) objective
 
     VertexTable<Visit> visited_;
     Frontier frontier_;
@@ -342,8 +253,6 @@ private:
     std::vector<Vertex> queue_;        // walk search queue
     std::vector<Vertex> walk_path_;    // walk search result, target first
     std::vector<double> scratch_;      // batched neighbor objectives
-    std::vector<Vertex> adv_scratch_;  // advertised-neighbor merges
-    RoutingResult result_;
 };
 
 }  // namespace
@@ -351,11 +260,6 @@ private:
 RoutingResult MessageHistoryRouter::route(const GraphView& graph, const Objective& objective,
                                           Vertex source,
                                           const RoutingOptions& options) const {
-    if (options.adversary != nullptr && options.adversary->plan().any()) {
-        // Byzantine regime: the walk maximizes what vertices *claim*.
-        const ClaimedObjective claimed(objective, *options.adversary);
-        return Run(graph, claimed, source, options).execute();
-    }
     return Run(graph, objective, source, options).execute();
 }
 

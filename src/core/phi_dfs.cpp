@@ -1,10 +1,9 @@
 #include "core/phi_dfs.h"
 
 #include <limits>
-#include <span>
 #include <vector>
 
-#include "core/fault.h"
+#include "core/regime.h"
 #include "core/vertex_table.h"
 
 namespace smallworld {
@@ -27,24 +26,13 @@ public:
     Run(const GraphView& graph, const Objective& objective, Vertex source,
         const RoutingOptions& options)
         : graph_(graph),
-          objective_(objective),
-          source_(source),
-          max_steps_(options.effective_max_steps(graph.num_vertices())),
-          prefetch_(options.prefetch),
-          faults_(options.faults, source),
-          adversary_(options.adversary) {}
+          regime_(graph, objective, source, options),
+          objective_(regime_.objective()),
+          source_(source) {}
 
     RoutingResult execute() {
-        result_.path.push_back(source_);
-        if (source_ == objective_.target()) {
-            result_.status = RoutingStatus::kDelivered;
-            return result_;
-        }
-        if (faults_.active() && !faults_.vertex_alive(source_)) {
-            // A crashed source cannot even emit the packet.
-            result_.status = RoutingStatus::kDeadEnd;
-            return result_;
-        }
+        if (source_ == objective_.target()) return regime_.finish(RoutingStatus::kDelivered);
+        if (regime_.source_crashed()) return regime_.take();
         // ROUTING(s, m), lines 1-6.
         best_seen_ = kNegInf;
         message_phi_ = kNegInf;
@@ -60,12 +48,9 @@ public:
         while (true) {
             if (op == Op::kExplore) {
                 const Vertex landed = move_to(v);
-                if (landed == kNoVertex) return result_;
+                if (landed == kNoVertex) return regime_.take();
                 v = landed;  // a misrouting holder may have hijacked the hop
-                if (v == objective_.target()) {
-                    result_.status = RoutingStatus::kDelivered;
-                    return result_;
-                }
+                if (v == objective_.target()) return regime_.finish(RoutingStatus::kDelivered);
                 VertexState& st = state_[v];
                 const double phi_v = objective_.value(v);
                 if (st.phi == message_phi_) {
@@ -76,7 +61,7 @@ public:
                     last_visited_ = v;
                     backtrack_upper_ = phi_v;
                     op = Op::kBacktrack;
-                    maybe_prefetch(back);
+                    graph_.prefetch_neighbors(back);
                     v = back;
                     continue;
                 }
@@ -91,7 +76,7 @@ public:
                 // reaches the current Phi; otherwise backtrack.
                 if (best.vertex != kNoVertex && best.value >= message_phi_) {
                     last_visited_ = v;
-                    maybe_prefetch(best.vertex);
+                    graph_.prefetch_neighbors(best.vertex);
                     v = best.vertex;
                     continue;  // EXPLORE(best)
                 }
@@ -99,7 +84,7 @@ public:
                 last_visited_ = v;
                 backtrack_upper_ = phi_v;
                 op = Op::kBacktrack;
-                maybe_prefetch(back);
+                graph_.prefetch_neighbors(back);
                 v = back;
                 continue;
             }
@@ -108,7 +93,7 @@ public:
             // objective of the child we returned from; it bounds the
             // remaining children so the scan proceeds in decreasing order.
             const Vertex landed = move_to(v);
-            if (landed == kNoVertex) return result_;
+            if (landed == kNoVertex) return regime_.take();
             if (landed != v) {
                 // The holder hijacked the backtrack: the message arrives at
                 // the misroute target instead, which processes it as a fresh
@@ -123,7 +108,7 @@ public:
                 // Lines 20-22: continue the DFS into the next-best child.
                 last_visited_ = v;
                 op = Op::kExplore;
-                maybe_prefetch(child);
+                graph_.prefetch_neighbors(child);
                 v = child;
                 continue;
             }
@@ -148,26 +133,18 @@ public:
             if (st.parent == v || st.parent == kNoVertex) {
                 // Back at the source with nothing left anywhere: the whole
                 // component has been explored without meeting the target.
-                result_.status = RoutingStatus::kExhausted;
-                return result_;
+                return regime_.finish(RoutingStatus::kExhausted);
             }
             // Line 29: backtrack further.
             const Vertex up = st.parent;
             last_visited_ = v;
             backtrack_upper_ = objective_.value(v);
-            maybe_prefetch(up);
+            graph_.prefetch_neighbors(up);
             v = up;
         }
     }
 
 private:
-    /// Software-prefetch of the chosen next vertex's adjacency row; a pure
-    /// memory-system hint issued at every walk transition (see
-    /// RoutingOptions::prefetch).
-    void maybe_prefetch(Vertex v) const noexcept {
-        if (prefetch_) graph_.prefetch_neighbors(v);
-    }
-
     /// SET_NEW_PHI(v, m), lines 30-35, given v's state and best neighbor.
     void set_new_phi(VertexState& st, double phi_v, const BestNeighbor& best) {
         best_seen_ = phi_v;
@@ -178,28 +155,19 @@ private:
         }
     }
 
-    /// The neighborhood the protocol at v decides over: the honest adjacency
-    /// row, or — under an active adversary — the *advertised* row (phantom
-    /// links merged in when v is byzantine; the claimed objective is what
-    /// `objective_` already evaluates, wrapped by the route() dispatch).
-    [[nodiscard]] std::span<const Vertex> scan_neighbors(Vertex v) const {
-        return adversary_.active()
-                   ? adversary_.advertised_neighbors(graph_, v, adv_scratch_)
-                   : graph_.neighbors(v);
-    }
-
     /// argmax over all neighbors (line 15); ties toward smaller id. Under an
     /// active plan the argmax runs over the residual neighborhood, so a dead
     /// neighbor can never be chosen — the DFS backtracks past it exactly as
     /// if it had been explored (graceful degradation, not a protocol error).
-    [[nodiscard]] BestNeighbor best_any_neighbor(Vertex v) const {
-        const auto neighbors = scan_neighbors(v);
-        if (!faults_.active()) return objective_.best_of(neighbors);
+    [[nodiscard]] BestNeighbor best_any_neighbor(Vertex v) {
+        const auto neighbors = regime_.row(v);
+        const FaultView& faults = regime_.faults();
+        if (!faults.active()) return objective_.best_of(neighbors);
         scratch_.resize(neighbors.size());
         objective_.values(neighbors, scratch_.data());
         BestNeighbor best;
         for (std::size_t i = 0; i < neighbors.size(); ++i) {
-            if (!faults_.usable(v, neighbors[i])) continue;
+            if (!faults.usable(v, neighbors[i])) continue;
             if (best.vertex == kNoVertex || scratch_[i] > best.value) {
                 best.vertex = neighbors[i];
                 best.value = scratch_[i];
@@ -211,9 +179,10 @@ private:
     /// Line 19: best u in Gamma(v) with u != v.parent and
     /// m.Phi <= phi(u) < (objective of the child we returned from). The
     /// neighbor objectives come from one batched values() call.
-    [[nodiscard]] Vertex best_unexplored_child(Vertex v, Vertex parent) const {
+    [[nodiscard]] Vertex best_unexplored_child(Vertex v, Vertex parent) {
         const double upper = backtrack_upper_;
-        const auto neighbors = scan_neighbors(v);
+        const auto neighbors = regime_.row(v);
+        const FaultView& faults = regime_.faults();
         scratch_.resize(neighbors.size());
         objective_.values(neighbors, scratch_.data());
         Vertex best = kNoVertex;
@@ -221,7 +190,7 @@ private:
         for (std::size_t i = 0; i < neighbors.size(); ++i) {
             const Vertex u = neighbors[i];
             if (u == parent) continue;
-            if (faults_.active() && !faults_.usable(v, u)) continue;
+            if (faults.active() && !faults.usable(v, u)) continue;
             const double value = scratch_[i];
             if (value >= message_phi_ && value < upper && value > best_value) {
                 best = u;
@@ -231,105 +200,32 @@ private:
         return best;
     }
 
-    /// Appends a message move and returns the vertex the packet actually
-    /// lands on (== v honestly; a byzantine misrouting holder hijacks the
-    /// forward to its worst advertised usable neighbor); kNoVertex when the
-    /// step budget is exhausted or the packet drops — in flight, into a
-    /// phantom link, or into a blackhole. Under transient link faults the
-    /// move is the send chokepoint: a down link parks the message for an
-    /// epoch (a retry charged against the budget) up to max_retries
-    /// consecutive times, then the packet is dropped (kDeadEnd). A wait-out
-    /// hop landing exactly on the budget reports kStepLimit — budget beats
-    /// retry exhaustion, matching the greedy loop's convention.
+    /// Sends the message to v through the regime's chokepoint and returns
+    /// the vertex it lands on (== v honestly; a byzantine misrouting holder
+    /// hijacks the forward), or kNoVertex when the route ended there.
     Vertex move_to(Vertex v) {
-        const Vertex from = result_.path.back();
+        const Vertex from = regime_.holder();
         if (from == v) return v;  // reprocessing in place, not a send
-        if (adversary_.misroutes(from)) {
-            // The holder ignores the protocol's choice: worst advertised
-            // usable neighbor by claimed value (first-min in list order).
-            const auto neighborhood =
-                adversary_.advertised_neighbors(graph_, from, adv_scratch_);
-            Vertex worst = kNoVertex;
-            double worst_value = 0.0;
-            for (const Vertex u : neighborhood) {
-                if (!faults_.usable(from, u)) continue;
-                const double value = objective_.value(u);
-                if (worst == kNoVertex || value < worst_value) {
-                    worst = u;
-                    worst_value = value;
-                }
-            }
-            if (worst == kNoVertex) {
-                result_.status = RoutingStatus::kDeadEnd;  // isolated liar
-                return kNoVertex;
-            }
-            v = worst;
-        }
-        if (faults_.transient()) {
-            int waits = 0;
-            while (!faults_.link_up(from, v)) {
-                faults_.advance_epoch();
-                if (waits >= faults_.max_retries()) {
-                    result_.status = RoutingStatus::kDeadEnd;  // dropped in flight
-                    return kNoVertex;
-                }
-                ++waits;
-                ++result_.retries;
-                if (result_.steps() + result_.retries >= max_steps_) {
-                    result_.status = RoutingStatus::kStepLimit;
-                    return kNoVertex;
-                }
-            }
-            faults_.advance_epoch();
-        }
-        if (result_.steps() + result_.retries >= max_steps_) {
-            result_.status = RoutingStatus::kStepLimit;
-            return kNoVertex;
-        }
-        result_.path.push_back(v);
-        // A forward along an advertised-but-nonexistent link is swallowed;
-        // the attempted hop stays on the trace for the audit to flag.
-        if (adversary_.advertises_phantoms(from) &&
-            AdversaryView::phantom_link(graph_, from, v)) {
-            result_.status = RoutingStatus::kDeadEnd;
-            return kNoVertex;
-        }
-        // Blackholing byzantine vertices swallow everything they receive;
-        // arrival at the target is delivery regardless.
-        if (v != objective_.target() && adversary_.blackholes(v)) {
-            result_.status = RoutingStatus::kDeadEnd;
-            return kNoVertex;
-        }
-        return v;
+        return regime_.move(from, v);
     }
 
     const GraphView& graph_;
-    const Objective& objective_;
+    Regime regime_;              // faults, liars, budget and the result
+    const Objective& objective_; // the regime's (claimed) objective
     Vertex source_;
-    std::size_t max_steps_;
-    bool prefetch_;
-    FaultView faults_;        // route-scoped; inactive when no plan is set
-    AdversaryView adversary_; // shared-state view; inactive when no plan is set
 
     VertexTable<VertexState> state_;  // the vertices this query touched
-    mutable std::vector<double> scratch_;  // neighbor objectives, reused per scan
-    mutable std::vector<Vertex> adv_scratch_;  // advertised-neighbor merges
+    std::vector<double> scratch_;     // neighbor objectives, reused per scan
     double best_seen_ = kNegInf;
     double message_phi_ = kNegInf;
     double backtrack_upper_ = kNegInf;
     Vertex last_visited_ = kNoVertex;
-    RoutingResult result_;
 };
 
 }  // namespace
 
 RoutingResult PhiDfsRouter::route(const GraphView& graph, const Objective& objective,
                                   Vertex source, const RoutingOptions& options) const {
-    if (options.adversary != nullptr && options.adversary->plan().any()) {
-        // Byzantine regime: the DFS maximizes what vertices *claim*.
-        const ClaimedObjective claimed(objective, *options.adversary);
-        return Run(graph, claimed, source, options).execute();
-    }
     return Run(graph, objective, source, options).execute();
 }
 

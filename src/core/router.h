@@ -47,27 +47,22 @@ struct RoutingOptions {
     std::size_t max_steps = 0;
 
     /// Optional fault injection (core/fault.h): when non-null and the plan
-    /// is active, every router filters neighborhoods through the per-route
-    /// FaultView (crashes, permanent removals, transient link failures).
+    /// is active, every router and simulator runs its route under the plan
+    /// through one Regime (core/regime.h): crashed and removed links are
+    /// invisible, and sends suffer transient link outages and message loss.
     /// Null or an inactive plan leaves behavior byte-identical to the
     /// unfaulted router. The state is immutable and may be shared across
     /// concurrent route() calls.
     const FaultState* faults = nullptr;
 
     /// Optional byzantine adversary (core/adversary.h): when non-null and the
-    /// plan is active, routers evaluate the *claimed* objective (wrapping the
-    /// honest one in a ClaimedObjective), scan advertised neighborhoods
-    /// (honest edges plus phantom links), and byzantine vertices blackhole or
-    /// misroute the packets their lies attract. Null or an inactive plan
-    /// leaves behavior byte-identical to the honest router. Immutable and
-    /// shareable across concurrent route() calls; composes with `faults`.
+    /// plan is active, decisions evaluate the *claimed* objective, scan
+    /// advertised neighborhoods (honest edges plus phantom links), and
+    /// byzantine vertices blackhole or misroute the packets their lies
+    /// attract, all through the same Regime. Null or an inactive plan leaves
+    /// behavior byte-identical to the honest router. Immutable and shareable
+    /// across concurrent route() calls; composes with `faults`.
     const AdversaryState* adversary = nullptr;
-
-    /// Software-prefetch the chosen next hop's neighbor span in the greedy /
-    /// Φ-DFS walk loops before the move is committed. Purely a memory-system
-    /// hint: results are bit-identical either way. Off only for the bench
-    /// ablation cells that isolate its contribution.
-    bool prefetch = true;
 
     [[nodiscard]] std::size_t effective_max_steps(std::size_t num_vertices) const noexcept {
         return max_steps != 0 ? max_steps : 8 * num_vertices + 64;

@@ -4,11 +4,9 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <span>
 #include <vector>
 
-#include "core/adversary.h"
 #include "core/check.h"
 #include "distributed/queue.h"
 
@@ -45,13 +43,6 @@ ServingResult simulate_many(const GraphView& graph, const TargetObjectiveFactory
     GIRG_CHECK(queries.size() < kNoQuery, "simulate_many: ", queries.size(),
                " queries exceed the QueryId range");
     const LinkLatency latency(options.latency, options.positions);
-    const FaultState* fault_state =
-        options.faults != nullptr ? options.faults : options.routing.faults;
-    const AdversaryState* adversary_state =
-        options.adversary != nullptr ? options.adversary : options.routing.adversary;
-    if (adversary_state != nullptr && !adversary_state->plan().any()) {
-        adversary_state = nullptr;
-    }
     const bool bounded = options.queue_capacity != 0;
 
     ServingResult out;
@@ -74,20 +65,16 @@ ServingResult simulate_many(const GraphView& graph, const TargetObjectiveFactory
     });
     for (std::size_t begin = 0; begin < order.size();) {
         const Vertex target = queries[order[begin]].target;
-        const std::unique_ptr<Objective> honest = factory(target);
-        GIRG_CHECK(honest != nullptr && honest->target() == target,
+        const std::unique_ptr<Objective> objective = factory(target);
+        GIRG_CHECK(objective != nullptr && objective->target() == target,
                    "simulate_many: the factory must return an objective bound to target ",
                    target);
-        // Byzantine regime: every wake evaluates what vertices *claim*.
-        std::optional<ClaimedObjective> claimed;
-        if (adversary_state != nullptr) claimed.emplace(*honest, *adversary_state);
-        const Objective& objective = claimed ? *claimed : *honest;
         for (; begin < order.size() && queries[order[begin]].target == target; ++begin) {
             const QueryId i = order[begin];
             if (bounded) first_arrival[i] = arrivals.size();
-            out.queries[i] = detail::simulate_impl(
-                graph, objective, protocol, queries[i].source, options.routing,
-                fault_state, i, adversary_state, bounded ? &arrivals : nullptr);
+            out.queries[i] = detail::simulate_impl(graph, *objective, protocol,
+                                                   queries[i].source, options.routing, i,
+                                                   bounded ? &arrivals : nullptr);
         }
     }
 

@@ -47,20 +47,12 @@ struct ServingQuery {
 using TargetObjectiveFactory = std::function<std::unique_ptr<Objective>(Vertex target)>;
 
 struct ServingOptions {
-    /// Per-query step budget and (fallback) fault plan, exactly as in the
-    /// lockstep simulator.
+    /// Per-query step budget, fault plan and adversary, exactly as in the
+    /// lockstep simulator. Query k draws from the per-query fault stream
+    /// FaultView(routing.faults, source, k), so query 0 replays the lockstep
+    /// stream. The adversary's lies are static per (seed, vertex) — every
+    /// query sees the same liars — so it composes with the per-query nonces.
     RoutingOptions routing;
-    /// Fault injection (overrides routing.faults when non-null): crashes and
-    /// removals filter neighborhoods, losses and transient links hit the
-    /// shared send chokepoint. Query k draws from the per-query fault stream
-    /// FaultView(state, source, k) — query 0 replays the lockstep stream.
-    const FaultState* faults = nullptr;
-    /// Byzantine adversary (overrides routing.adversary when non-null): wakes
-    /// see advertised neighborhoods and evaluate claimed objectives,
-    /// byzantine holders blackhole/misroute. The adversary's lies
-    /// are static per (seed, vertex) — no per-query stream, every query sees
-    /// the same liars — so it composes with the per-query fault nonces.
-    const AdversaryState* adversary = nullptr;
 
     /// Per-link message latency model.
     LatencyModel latency;

@@ -149,48 +149,30 @@ struct DistributedResult {
     SimulationTelemetry telemetry;
 };
 
-/// Simulation options with fault injection. `faults` (falling back to
-/// `routing.faults` when null) activates the residual-neighborhood filter,
-/// per-wake message loss and transient link failures: a lost send is retried
-/// by the same node — one extra wake and one retry charged against the step
-/// budget per attempt, without re-invoking on_wake (protocol handlers are
-/// not idempotent) — until it succeeds or max_retries consecutive losses
-/// drop the packet (kDeadEnd). With a null/inactive plan the simulation is
-/// byte-identical to the plain overload.
-struct FaultedSimulationOptions {
-    RoutingOptions routing;
-    const FaultState* faults = nullptr;
-    /// Byzantine adversary (falling back to `routing.adversary` when null):
-    /// the simulator serves *advertised* neighborhoods to LocalView, wakes
-    /// evaluate the claimed objective, byzantine holders blackhole/misroute,
-    /// and phantom forwards are swallowed with the hop on the trace. Null or
-    /// inactive leaves the simulation byte-identical.
-    const AdversaryState* adversary = nullptr;
-};
-
 /// Runs a protocol under the distributed model. Forwards to non-neighbors
 /// (or, under faults, to dead neighbors) are refused (counted, message
-/// dropped) so a buggy protocol cannot teleport.
+/// dropped) so a buggy protocol cannot teleport. `options.faults` and
+/// `options.adversary` put the walk under a regime (core/regime.h): the
+/// awake node sees its residual advertised row, wakes evaluate claimed
+/// objectives, byzantine holders blackhole or misroute, and a send lost to
+/// message loss or a down link is retried by the same node — one extra wake
+/// and one retry charged against the step budget per attempt, without
+/// re-invoking on_wake (protocol handlers are not idempotent) — until it
+/// succeeds or max_retries consecutive failures drop the packet (kDeadEnd).
+/// Null or inactive plans leave the walk byte-identical to the honest one.
 [[nodiscard]] DistributedResult simulate_routing(const GraphView& graph,
                                                  const Objective& objective,
                                                  const DistributedProtocol& protocol,
                                                  Vertex source,
                                                  const RoutingOptions& options = {});
 
-/// Fault-injected variant; see FaultedSimulationOptions.
-[[nodiscard]] DistributedResult simulate_routing(const GraphView& graph,
-                                                 const Objective& objective,
-                                                 const DistributedProtocol& protocol,
-                                                 Vertex source,
-                                                 const FaultedSimulationOptions& options);
-
 namespace detail {
 
 /// One query's lockstep walk: the engine under simulate_routing (fault
 /// nonce 0) and under simulate_many's decide phase (nonce = batch index, so
-/// the query draws from FaultView(faults, source, nonce)). `objective` is
-/// what every wake evaluates: the ClaimedObjective over the honest one when
-/// `adversary` is non-null, whose plan must then be active.
+/// the query draws from FaultView(options.faults, source, nonce)).
+/// `objective` is the honest one; the walk's Regime wraps it in the claims
+/// every wake evaluates under an active adversary.
 ///
 /// With `arrivals` non-null the walk also appends, for every arrival it
 /// causes — the injection at the source, then each forward that travels on
@@ -200,8 +182,7 @@ namespace detail {
 [[nodiscard]] DistributedResult simulate_impl(const GraphView& graph, const Objective& objective,
                                               const DistributedProtocol& protocol, Vertex source,
                                               const RoutingOptions& options,
-                                              const FaultState* faults, std::uint64_t fault_nonce,
-                                              const AdversaryState* adversary,
+                                              std::uint64_t fault_nonce,
                                               std::vector<SimulationTelemetry>* arrivals);
 
 }  // namespace detail

@@ -8,7 +8,6 @@
 
 #include "core/adversary.h"
 #include "core/fault.h"
-#include "core/faulty.h"
 #include "core/gravity_pressure.h"
 #include "core/greedy.h"
 #include "core/message_history.h"
@@ -332,7 +331,7 @@ TEST(AdversaryRouting, BlackholeSwallowsTransitTrafficInEveryExecutionModel) {
     EXPECT_EQ(central.path, (std::vector<Vertex>{f.s, f.b}));
 
     // Lockstep simulator: same walk, and the kill is an audit flag.
-    FaultedSimulationOptions sim_options;
+    RoutingOptions sim_options;
     sim_options.adversary = &state;
     const auto sim =
         simulate_routing(f.girg.graph, obj, DistributedGreedy{}, f.s, sim_options);
@@ -359,7 +358,7 @@ TEST(AdversaryRouting, ByzantineTargetStillDeliversOnArrival) {
     RoutingOptions options;
     options.adversary = &state;
     EXPECT_TRUE(GreedyRouter{}.route(g.graph, obj, s, options).success());
-    FaultedSimulationOptions sim_options;
+    RoutingOptions sim_options;
     sim_options.adversary = &state;
     const auto sim = simulate_routing(g.graph, obj, DistributedGreedy{}, s, sim_options);
     EXPECT_TRUE(sim.routing.success());
@@ -392,7 +391,7 @@ TEST(AdversaryRouting, MisrouteForwardsToTheWorstNeighborAndIsObserved) {
     EXPECT_EQ(central.status, RoutingStatus::kDelivered);
     EXPECT_EQ(central.path, expected);
 
-    FaultedSimulationOptions sim_options;
+    RoutingOptions sim_options;
     sim_options.adversary = &state;
     const auto sim = simulate_routing(g.graph, obj, DistributedGreedy{}, s, sim_options);
     EXPECT_EQ(sim.routing.status, RoutingStatus::kDelivered);
@@ -420,7 +419,7 @@ TEST(AdversaryRouting, InFlightLossBeatsTheBlackhole) {
     loss.message_loss_prob = 1.0;
     loss.max_retries = 2;
     const FaultState faults(f.girg.graph, loss);
-    FaultedSimulationOptions options;
+    RoutingOptions options;
     options.faults = &faults;
     options.adversary = &adversary;
     const auto result =
@@ -479,7 +478,7 @@ TEST(AdversaryRouting, PhantomForwardIsLegalAdvertisedAndThenSwallowed) {
     Vertex target = 0;
     while (target == liar || target == phantom) ++target;
     const GirgObjective obj(g, target);
-    FaultedSimulationOptions options;
+    RoutingOptions options;
     options.adversary = &state;
     const auto result = simulate_routing(g.graph, obj, StubbornForwarder(phantom),
                                          liar, options);
@@ -577,7 +576,8 @@ TEST(AdversaryRouting, InactivePlanIsByteIdenticalForAllRouters) {
     routers.push_back(std::make_unique<PhiDfsRouter>());
     routers.push_back(std::make_unique<GravityPressureRouter>());
     routers.push_back(std::make_unique<MessageHistoryRouter>());
-    routers.push_back(std::make_unique<FaultyLinkGreedyRouter>(0.3, 17));
+    routers.push_back(std::make_unique<testing::PlannedRouter>(
+        std::make_unique<GreedyRouter>(), testing::link_failure_plan(0.3, 17)));
 
     Rng rng(312);
     RoutingOptions under_plan_options;
@@ -596,7 +596,7 @@ TEST(AdversaryRouting, InactivePlanIsByteIdenticalForAllRouters) {
             EXPECT_EQ(base.retries, under_plan.retries) << router->name();
         }
         const auto plain = simulate_routing(g.graph, obj, protocol, s);
-        FaultedSimulationOptions sim_options;
+        RoutingOptions sim_options;
         sim_options.adversary = &state;
         const auto under_plan = simulate_routing(g.graph, obj, protocol, s, sim_options);
         EXPECT_EQ(plain.routing.status, under_plan.routing.status);
@@ -652,7 +652,7 @@ TEST(AdversaryFrozenReference, HonestTracesReplayTheSeedCommitBitForBit) {
     const AdversaryState state(g.graph, inert);
     RoutingOptions inert_options;
     inert_options.adversary = &state;
-    FaultedSimulationOptions inert_sim;
+    RoutingOptions inert_sim;
     inert_sim.adversary = &state;
 
     const GreedyRouter greedy;
@@ -830,12 +830,12 @@ TEST(AdversaryServing, SingleQueryReplaysTheLockstepWalkUnderAnActiveAdversary) 
         if (s == t) continue;
         ++compared;
         const GirgObjective obj(g, t);
-        FaultedSimulationOptions lockstep_options;
+        RoutingOptions lockstep_options;
         lockstep_options.adversary = &state;
         const auto lockstep =
             simulate_routing(g.graph, obj, protocol, s, lockstep_options);
         ServingOptions serving_options;
-        serving_options.adversary = &state;
+        serving_options.routing.adversary = &state;
         const ServingQuery query{s, t, 0};
         const auto batch =
             simulate_many(g.graph, factory, protocol, {&query, 1}, serving_options);

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/fault.h"
-#include "core/faulty.h"
 #include "core/gravity_pressure.h"
 #include "core/greedy.h"
 #include "core/message_history.h"
@@ -27,6 +26,8 @@
 namespace smallworld {
 namespace {
 
+using testing::link_failure_plan;
+using testing::PlannedRouter;
 using testing::ScenarioBuilder;
 
 GirgParams boundary_params(double wmin) {
@@ -140,7 +141,8 @@ TEST(BudgetBoundary, AllCentralizedRoutersDeliverAtExactBudget) {
     routers.push_back(std::make_unique<PhiDfsRouter>());
     routers.push_back(std::make_unique<GravityPressureRouter>());
     routers.push_back(std::make_unique<MessageHistoryRouter>());
-    routers.push_back(std::make_unique<FaultyLinkGreedyRouter>(0.2, 43));
+    routers.push_back(std::make_unique<PlannedRouter>(std::make_unique<GreedyRouter>(),
+                                                      link_failure_plan(0.2, 43)));
     for (const auto& router : routers) {
         SCOPED_TRACE(router->name());
         check_exact_budget_boundary(*router, girg, 300 * girg.num_vertices());
@@ -196,8 +198,8 @@ void check_simulator_boundary(const DistributedProtocol& protocol, const Girg& g
         const auto t = static_cast<Vertex>(rng.uniform_index(girg.num_vertices()));
         if (s == t) continue;
         const GirgObjective obj(girg, t);
-        FaultedSimulationOptions generous;
-        generous.routing.max_steps = 300 * girg.num_vertices();
+        RoutingOptions generous;
+        generous.max_steps = 300 * girg.num_vertices();
         generous.faults = faults;
         const auto probe = simulate_routing(girg.graph, obj, protocol, s, generous);
         if (!probe.routing.success()) continue;
@@ -205,15 +207,15 @@ void check_simulator_boundary(const DistributedProtocol& protocol, const Girg& g
         const std::size_t consumed = probe.routing.steps() + probe.routing.retries;
         ASSERT_GE(consumed, 1u);
 
-        FaultedSimulationOptions exact = generous;
-        exact.routing.max_steps = consumed;
+        RoutingOptions exact = generous;
+        exact.max_steps = consumed;
         const auto at_budget = simulate_routing(girg.graph, obj, protocol, s, exact);
         EXPECT_EQ(at_budget.routing.status, RoutingStatus::kDelivered)
             << protocol.name() << " s=" << s << " t=" << t;
         EXPECT_EQ(at_budget.routing.path, probe.routing.path) << protocol.name();
 
-        FaultedSimulationOptions tight = generous;
-        tight.routing.max_steps = consumed - 1;
+        RoutingOptions tight = generous;
+        tight.max_steps = consumed - 1;
         const auto below = simulate_routing(girg.graph, obj, protocol, s, tight);
         EXPECT_EQ(below.routing.status, RoutingStatus::kStepLimit)
             << protocol.name() << " s=" << s << " t=" << t;
@@ -261,21 +263,51 @@ TEST(BudgetPrecedence, SimulatorBudgetBeatsRetryExhaustion) {
     for (const DistributedProtocol* protocol :
          {static_cast<const DistributedProtocol*>(&greedy),
           static_cast<const DistributedProtocol*>(&phi_dfs)}) {
-        FaultedSimulationOptions options;
+        RoutingOptions options;
         options.faults = &faults;
 
-        options.routing.max_steps = 3;
+        options.max_steps = 3;
         const auto at_budget =
             simulate_routing(c.girg.graph, obj, *protocol, c.s, options);
         EXPECT_EQ(at_budget.routing.status, RoutingStatus::kStepLimit)
             << protocol->name();
         EXPECT_EQ(at_budget.routing.retries, 3u) << protocol->name();
 
-        options.routing.max_steps = 4;
+        options.max_steps = 4;
         const auto slack = simulate_routing(c.girg.graph, obj, *protocol, c.s, options);
         EXPECT_EQ(slack.routing.status, RoutingStatus::kDeadEnd) << protocol->name();
         EXPECT_EQ(slack.routing.retries, 3u) << protocol->name();
         EXPECT_EQ(slack.telemetry.message_drops, 4u) << protocol->name();
+    }
+
+    // One more input: the first hop of a 5-vertex chain spends a budget of
+    // 1, and (for these seeds) the next link is down. Both protocols end
+    // kStepLimit with steps + retries == max_steps, as every centralized
+    // router does (routing_test's AllRoutersWaitOutBudget).
+    ScenarioBuilder b;
+    std::vector<Vertex> vs;
+    for (int i = 0; i < 5; ++i) vs.push_back(b.vertex(0.01 * i));
+    b.chain(vs);
+    const Girg chain = b.build();
+    const GirgObjective chain_obj(chain, vs.back());
+    for (const DistributedProtocol* protocol :
+         {static_cast<const DistributedProtocol*>(&greedy),
+          static_cast<const DistributedProtocol*>(&phi_dfs)}) {
+        for (const int max_retries : {0, 3}) {
+            for (std::uint64_t seed = 0; seed < 3; ++seed) {
+                SCOPED_TRACE(protocol->name() + " chain, max_retries=" +
+                             std::to_string(max_retries) + " seed=" + std::to_string(seed));
+                const FaultState down(chain.graph, link_failure_plan(0.5, seed, max_retries));
+                RoutingOptions options;
+                options.max_steps = 1;
+                options.faults = &down;
+                const auto result =
+                    simulate_routing(chain.graph, chain_obj, *protocol, vs.front(), options);
+                EXPECT_EQ(result.routing.status, RoutingStatus::kStepLimit);
+                EXPECT_EQ(result.routing.steps(), 1u);
+                EXPECT_EQ(result.routing.retries, 0u);
+            }
+        }
     }
 }
 
@@ -305,7 +337,7 @@ TEST(BudgetPrecedence, CentralizedGreedyBudgetBeatsWaitOutExhaustion) {
 TEST(BudgetPrecedence, FaultyLinkRouterBudgetBeatsWaitOutExhaustion) {
     const Chain c = make_edge();
     const GirgObjective obj(c.girg, c.t);
-    const FaultyLinkGreedyRouter router(1.0, 61, 3);
+    const PlannedRouter router(std::make_unique<GreedyRouter>(), link_failure_plan(1.0, 61, 3));
 
     RoutingOptions options;
     options.max_steps = 3;

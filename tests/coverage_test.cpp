@@ -3,9 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <sstream>
 
-#include "core/faulty.h"
+#include "core/greedy.h"
 #include "core/router.h"
 #include "girg/diagnostics.h"
 #include "girg/generator.h"
@@ -110,7 +111,9 @@ TEST(Coverage, FaultyZeroRetriesDropsOnFirstOutage) {
     bool saw_drop = false;
     bool saw_delivery = false;
     for (std::uint64_t seed = 0; seed < 64 && !(saw_drop && saw_delivery); ++seed) {
-        const FaultyLinkGreedyRouter router(0.5, seed, /*max_retries=*/0);
+        const testing::PlannedRouter router(
+            std::make_unique<GreedyRouter>(),
+            testing::link_failure_plan(0.5, seed, /*max_retries=*/0));
         const auto result = router.route(g.graph, obj, s);
         saw_drop |= result.status == RoutingStatus::kDeadEnd;
         saw_delivery |= result.success();

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/fault.h"
-#include "core/faulty.h"
 #include "core/gravity_pressure.h"
 #include "core/greedy.h"
 #include "core/message_history.h"
@@ -269,7 +268,8 @@ TEST(FaultedRouting, InactivePlanIsByteIdenticalForAllRouters) {
     routers.push_back(std::make_unique<PhiDfsRouter>());
     routers.push_back(std::make_unique<GravityPressureRouter>());
     routers.push_back(std::make_unique<MessageHistoryRouter>());
-    routers.push_back(std::make_unique<FaultyLinkGreedyRouter>(0.3, 17));
+    routers.push_back(std::make_unique<testing::PlannedRouter>(
+        std::make_unique<GreedyRouter>(), testing::link_failure_plan(0.3, 17)));
 
     Rng rng(302);
     RoutingOptions faulted;
@@ -395,7 +395,7 @@ TEST(FaultedSimulation, MessageLossTelemetryMatchesHandComputedFixture) {
     plan.message_loss_prob = 1.0;
     plan.max_retries = 2;
     const FaultState state(g.graph, plan);
-    FaultedSimulationOptions options;
+    RoutingOptions options;
     options.faults = &state;
     const auto result = simulate_routing(g.graph, obj, DistributedGreedy{}, s, options);
     // Wake 1 chooses the forward; every send is lost: the original attempt
@@ -425,7 +425,7 @@ TEST(FaultedSimulation, CrashedSourceNeverWakes) {
     plan.crash_selection = CrashSelection::kHighestWeight;
     const FaultState state(g.graph, plan, g.weights);
     ASSERT_TRUE(state.crashed(s));
-    FaultedSimulationOptions options;
+    RoutingOptions options;
     options.faults = &state;
     const auto result = simulate_routing(g.graph, obj, DistributedGreedy{}, s, options);
     EXPECT_EQ(result.routing.status, RoutingStatus::kDeadEnd);
@@ -446,7 +446,7 @@ TEST(FaultedSimulation, DeadNeighborsAreFilteredAndCounted) {
     plan.crash_selection = CrashSelection::kHighestWeight;
     const FaultState state(g.graph, plan, g.weights);
     ASSERT_TRUE(state.crashed(dead));
-    FaultedSimulationOptions options;
+    RoutingOptions options;
     options.faults = &state;
     const auto result = simulate_routing(g.graph, obj, DistributedGreedy{}, s, options);
     EXPECT_EQ(result.routing.status, RoutingStatus::kDelivered);
@@ -490,7 +490,7 @@ TEST(FaultedSimulation, ForwardToDeadNeighborIsIllegalAndDrops) {
     plan.crash_selection = CrashSelection::kHighestWeight;
     const FaultState state(g.graph, plan, g.weights);
     ASSERT_TRUE(state.crashed(dead));
-    FaultedSimulationOptions options;
+    RoutingOptions options;
     options.faults = &state;
     const auto result =
         simulate_routing(g.graph, obj, StubbornForwarder(dead), s, options);
@@ -514,7 +514,7 @@ TEST(FaultedSimulation, InactivePlanMatchesPlainSimulation) {
         if (s == t) continue;
         const GirgObjective obj(g, t);
         const auto plain = simulate_routing(g.graph, obj, protocol, s);
-        FaultedSimulationOptions options;
+        RoutingOptions options;
         options.faults = &state;
         const auto faulted = simulate_routing(g.graph, obj, protocol, s, options);
         EXPECT_EQ(plain.routing.status, faulted.routing.status);
@@ -573,44 +573,24 @@ TEST(FaultedTrials, ResultsAreIdenticalAcrossThreadCounts) {
 
 TEST(FaultedTrials, PerSourceStreamsDecorrelateRoutesFromEpochAlignment) {
     // Two different sources routing over the same edge draw independent link
-    // states under per-source streams; in legacy mode (per_source_streams ==
-    // false) they share the global epoch sequence and see identical coins.
+    // states: each route's fault stream is seeded by its source.
     ScenarioBuilder b;
     const Vertex s1 = b.vertex(0.0);
     const Vertex s2 = b.vertex(0.05);
     const Vertex t = b.vertex(0.3);
     const Girg g = b.edge(s1, t).edge(s2, t).edge(s1, s2).build();
-    FaultPlan legacy;
-    legacy.seed = 21;
-    legacy.link_failure_prob = 0.5;
-    legacy.per_source_streams = false;
-    const FaultState shared(g.graph, legacy);
-    FaultPlan streamed = legacy;
-    streamed.per_source_streams = true;
-    const FaultState split(g.graph, streamed);
+    const FaultState split(g.graph, testing::link_failure_plan(0.5, 21));
+    EXPECT_NE(split.route_seed(s1), split.route_seed(s2));
 
-    const FaultView shared1(&shared, s1);
-    const FaultView shared2(&shared, s2);
-    const FaultView split1(&split, s1);
-    const FaultView split2(&split, s2);
-    bool legacy_identical = true;
+    FaultView c(&split, s1);
+    FaultView d(&split, s2);
     bool streamed_identical = true;
     for (std::uint64_t epoch = 0; epoch < 64; ++epoch) {
-        FaultView a = shared1;
-        FaultView bb = shared2;
-        FaultView c = split1;
-        FaultView d = split2;
-        for (std::uint64_t k = 0; k < epoch; ++k) {
-            a.advance_epoch();
-            bb.advance_epoch();
-            c.advance_epoch();
-            d.advance_epoch();
-        }
-        legacy_identical = legacy_identical && a.link_up(s1, t) == bb.link_up(s1, t);
         streamed_identical = streamed_identical && c.link_up(s1, t) == d.link_up(s1, t);
+        c.advance_epoch();
+        d.advance_epoch();
     }
-    EXPECT_TRUE(legacy_identical);    // one global epoch sequence
-    EXPECT_FALSE(streamed_identical); // per-source independence (64 epochs)
+    EXPECT_FALSE(streamed_identical);  // per-source independence (64 epochs)
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 
-#include "core/faulty.h"
+#include "core/fault.h"
 #include "core/greedy.h"
 #include "girg/generator.h"
 #include "graph/components.h"
@@ -13,12 +14,16 @@
 namespace smallworld {
 namespace {
 
+using testing::link_failure_plan;
+using testing::PlannedRouter;
 using testing::ScenarioBuilder;
 
 TEST(FaultyLinks, RejectsBadParameters) {
-    EXPECT_THROW(FaultyLinkGreedyRouter(-0.1, 1), std::invalid_argument);
-    EXPECT_THROW(FaultyLinkGreedyRouter(1.1, 1), std::invalid_argument);
-    EXPECT_THROW(FaultyLinkGreedyRouter(0.5, 1, -1), std::invalid_argument);
+    ScenarioBuilder b;
+    const Girg g = b.edge(b.vertex(0.0), b.vertex(0.3)).build();
+    EXPECT_DEATH(FaultState(g.graph, link_failure_plan(-0.1, 1)), "link_failure_prob");
+    EXPECT_DEATH(FaultState(g.graph, link_failure_plan(1.1, 1)), "link_failure_prob");
+    EXPECT_DEATH(FaultState(g.graph, link_failure_plan(0.5, 1, -1)), "max_retries");
 }
 
 TEST(FaultyLinks, ZeroFailureMatchesGreedyExactly) {
@@ -27,7 +32,6 @@ TEST(FaultyLinks, ZeroFailureMatchesGreedyExactly) {
     params.edge_scale = calibrated_edge_scale(params);
     const Girg g = generate_girg(params, 201);
     Rng rng(202);
-    const FaultyLinkGreedyRouter faulty(0.0, 7);
     const GreedyRouter greedy;
     for (int trial = 0; trial < 50; ++trial) {
         const auto s = static_cast<Vertex>(rng.uniform_index(g.num_vertices()));
@@ -35,7 +39,8 @@ TEST(FaultyLinks, ZeroFailureMatchesGreedyExactly) {
         if (s == t) continue;
         const GirgObjective obj(g, t);
         const auto a = greedy.route(g.graph, obj, s);
-        const auto b = faulty.route(g.graph, obj, s);
+        const auto b = PlannedRouter(std::make_unique<GreedyRouter>(), link_failure_plan(0.0, 7))
+                           .route(g.graph, obj, s);
         EXPECT_EQ(a.status, b.status);
         EXPECT_EQ(a.path, b.path);
     }
@@ -47,8 +52,9 @@ TEST(FaultyLinks, TotalFailureDropsImmediately) {
     const Vertex t = b.vertex(0.3);
     const Girg g = b.edge(s, t).build();
     const GirgObjective obj(g, t);
-    const FaultyLinkGreedyRouter faulty(1.0, 7, /*max_retries=*/2);
-    const auto result = faulty.route(g.graph, obj, s);
+    const PlannedRouter router(std::make_unique<GreedyRouter>(),
+                               link_failure_plan(1.0, 7, /*max_retries=*/2));
+    const auto result = router.route(g.graph, obj, s);
     EXPECT_EQ(result.status, RoutingStatus::kDeadEnd);
     EXPECT_EQ(result.steps(), 0u);
 }
@@ -58,7 +64,8 @@ TEST(FaultyLinks, SourceIsTargetStillDelivered) {
     const Vertex s = b.vertex(0.0);
     const Girg g = b.build();
     const GirgObjective obj(g, s);
-    EXPECT_TRUE(FaultyLinkGreedyRouter(1.0, 7).route(g.graph, obj, s).success());
+    const PlannedRouter router(std::make_unique<GreedyRouter>(), link_failure_plan(1.0, 7));
+    EXPECT_TRUE(router.route(g.graph, obj, s).success());
 }
 
 TEST(FaultyLinks, RetriesRideOutTransientFailure) {
@@ -71,8 +78,10 @@ TEST(FaultyLinks, RetriesRideOutTransientFailure) {
     const GirgObjective obj(g, t);
     int delivered = 0;
     for (std::uint64_t seed = 0; seed < 100; ++seed) {
-        const FaultyLinkGreedyRouter faulty(0.5, seed, /*max_retries=*/8);
-        delivered += faulty.route(g.graph, obj, s).success() ? 1 : 0;
+        const PlannedRouter router(std::make_unique<GreedyRouter>(),
+                                   link_failure_plan(0.5, seed, /*max_retries=*/8));
+        const auto result = router.route(g.graph, obj, s);
+        delivered += result.success() ? 1 : 0;
     }
     EXPECT_GT(delivered, 95);  // P[9 consecutive failures] ~ 0.002
 }
@@ -82,15 +91,15 @@ TEST(FaultyLinks, DeterministicForSeed) {
                       .wmin = 2.0, .edge_scale = 1.0};
     const Girg g = generate_girg(params, 203);
     const GirgObjective obj(g, 100);
-    const FaultyLinkGreedyRouter faulty(0.3, 99);
-    const auto a = faulty.route(g.graph, obj, 5);
-    const auto b = faulty.route(g.graph, obj, 5);
+    const PlannedRouter router(std::make_unique<GreedyRouter>(), link_failure_plan(0.3, 99));
+    const auto a = router.route(g.graph, obj, 5);
+    const auto b = router.route(g.graph, obj, 5);
     EXPECT_EQ(a.path, b.path);
 }
 
-// Frozen copy of the pre-fault-layer implementation (the exact loop this
-// router shipped with before it became an adapter over core/fault.h). The
-// adapter must reproduce its traces bit for bit.
+// Frozen copy of the pre-fault-layer faulty-link greedy loop. GreedyRouter
+// under a transient-only FaultPlan must reproduce its traces bit for bit
+// when the loop is seeded with the route's fault stream.
 RoutingResult frozen_reference_faulty_route(const Graph& graph, const Objective& objective,
                                             Vertex source, double failure_prob,
                                             std::uint64_t seed, int max_retries) {
@@ -157,14 +166,17 @@ TEST(FaultyLinks, AdapterIsByteIdenticalToFrozenReference) {
     const Girg g = generate_girg(params, 211);
     Rng rng(212);
     for (const double p : {0.1, 0.3, 0.6}) {
-        const FaultyLinkGreedyRouter adapter(p, 88, /*max_retries=*/3);
+        const FaultState state(g.graph, link_failure_plan(p, 88, /*max_retries=*/3));
+        RoutingOptions options;
+        options.faults = &state;
         for (int trial = 0; trial < 40; ++trial) {
             const auto s = static_cast<Vertex>(rng.uniform_index(g.num_vertices()));
             const auto t = static_cast<Vertex>(rng.uniform_index(g.num_vertices()));
             if (s == t) continue;
             const GirgObjective obj(g, t);
-            const auto reference = frozen_reference_faulty_route(g.graph, obj, s, p, 88, 3);
-            const auto actual = adapter.route(g.graph, obj, s);
+            const auto reference =
+                frozen_reference_faulty_route(g.graph, obj, s, p, state.route_seed(s), 3);
+            const auto actual = GreedyRouter{}.route(g.graph, obj, s, options);
             EXPECT_EQ(reference.status, actual.status) << "p=" << p << " s=" << s;
             EXPECT_EQ(reference.path, actual.path) << "p=" << p << " s=" << s;
         }
@@ -182,7 +194,7 @@ TEST(FaultyLinks, ModerateFailureDegradesGracefully) {
     const auto giant = giant_component_vertices(comps);
     Rng rng(206);
     const GreedyRouter greedy;
-    const FaultyLinkGreedyRouter faulty(0.2, 77);
+    const PlannedRouter faulty(std::make_unique<GreedyRouter>(), link_failure_plan(0.2, 77));
     int base_ok = 0;
     int faulty_ok = 0;
     int trials = 0;

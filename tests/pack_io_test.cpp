@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/faulty.h"
 #include "core/gravity_pressure.h"
 #include "core/greedy.h"
 #include "core/message_history.h"
@@ -33,6 +32,7 @@
 #include "graph/edge_stream.h"
 #include "graph/packed_graph.h"
 #include "random/rng.h"
+#include "test_scenarios.h"
 
 namespace smallworld {
 namespace {
@@ -52,7 +52,7 @@ std::string temp_pack_path(const std::string& name) {
     // Parallel ctest runs each case in its own process but TempDir() is
     // shared; prefix the pid so e.g. the /raw and /compressed instances of a
     // parametrized case never race on the same file.
-    return testing::TempDir() + std::to_string(::getpid()) + "_" + name;
+    return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
 }
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
@@ -498,7 +498,11 @@ std::unique_ptr<Router> make_history() {
     return std::make_unique<MessageHistoryRouter>();
 }
 std::unique_ptr<Router> make_faulty() {
-    return std::make_unique<FaultyLinkGreedyRouter>(0.0, 1, 0);
+    // Greedy under an active link plan: its per-epoch choice among available
+    // links reads rows through the regime. The coins are keyed by (route
+    // seed, edge, epoch), never by the view, so all three variants agree.
+    return std::make_unique<testing::PlannedRouter>(make_greedy(),
+                                                    testing::link_failure_plan(0.3, 1, 2));
 }
 
 constexpr RouterFactory kAllRouters[] = {make_greedy, make_phi_dfs, make_gravity,
@@ -545,6 +549,7 @@ TEST(PackRouting, AllRoutersIdenticalOnBothVariants) {
     const GraphView raw_view = fx.raw.view();
     const GraphView compressed_view = fx.compressed.view(scratch);
 
+    std::size_t retries = 0;
     for (const RouterFactory factory : kAllRouters) {
         const auto router = factory();
         for (const auto& [s, t] : pairs) {
@@ -554,10 +559,15 @@ TEST(PackRouting, AllRoutersIdenticalOnBothVariants) {
             const RoutingResult via_blob = router->route(compressed_view, objective, s);
             EXPECT_EQ(via_raw.status, resident.status) << router->name();
             EXPECT_EQ(via_raw.path, resident.path) << router->name() << " s=" << s;
+            EXPECT_EQ(via_raw.retries, resident.retries) << router->name() << " s=" << s;
             EXPECT_EQ(via_blob.status, resident.status) << router->name();
             EXPECT_EQ(via_blob.path, resident.path) << router->name() << " s=" << s;
+            EXPECT_EQ(via_blob.retries, resident.retries) << router->name() << " s=" << s;
+            retries += resident.retries;
         }
     }
+    // The link plan is live on these pairs: some send waited out an outage.
+    EXPECT_GT(retries, 0u);
 }
 
 TEST(PackRouting, DistributedSimulatorIdenticalOnBothVariants) {

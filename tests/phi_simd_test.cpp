@@ -263,8 +263,6 @@ TEST(PhiSimdTest, RoutingResultsIdenticalAcrossModes) {
     const Girg girg = generate_girg(routing_params(), 4242);
     const GreedyRouter greedy;
     const PhiDfsRouter dfs;
-    RoutingOptions no_prefetch;
-    no_prefetch.prefetch = false;
 
     for (const Router* router : {static_cast<const Router*>(&greedy),
                                  static_cast<const Router*>(&dfs)}) {
@@ -275,8 +273,7 @@ TEST(PhiSimdTest, RoutingResultsIdenticalAcrossModes) {
             const GirgObjective scalar(girg, target, mode(PhiEvalMode::kScalar));
             const GirgObjective automatic(girg, target);  // SIMD when available
             const RoutingResult a = router->route(girg.graph, scalar, source);
-            const RoutingResult b =
-                router->route(girg.graph, automatic, source, no_prefetch);
+            const RoutingResult b = router->route(girg.graph, automatic, source);
             ASSERT_EQ(a.status, b.status) << router->name() << " pair=" << pair;
             ASSERT_EQ(a.path, b.path) << router->name() << " pair=" << pair;
             ASSERT_EQ(a.retries, b.retries);

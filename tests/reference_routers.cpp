@@ -181,7 +181,6 @@ public:
           objective_(objective),
           source_(source),
           max_steps_(options.effective_max_steps(graph.num_vertices())),
-          prefetch_(options.prefetch),
           faults_(options.faults, source),
           adversary_(options.adversary) {}
 
@@ -226,7 +225,6 @@ public:
                     last_visited_ = v;
                     backtrack_upper_ = objective_.value(v);
                     op = Op::kBacktrack;
-                    maybe_prefetch(back);
                     v = back;
                     continue;
                 }
@@ -241,7 +239,6 @@ public:
                 const BestNeighbor best = best_any_neighbor(v);
                 if (best.vertex != kNoVertex && best.value >= message_phi_) {
                     last_visited_ = v;
-                    maybe_prefetch(best.vertex);
                     v = best.vertex;
                     continue;  // EXPLORE(best)
                 }
@@ -249,7 +246,6 @@ public:
                 last_visited_ = v;
                 backtrack_upper_ = objective_.value(v);
                 op = Op::kBacktrack;
-                maybe_prefetch(back);
                 v = back;
                 continue;
             }
@@ -273,7 +269,6 @@ public:
                 // Lines 20-22: continue the DFS into the next-best child.
                 last_visited_ = v;
                 op = Op::kExplore;
-                maybe_prefetch(child);
                 v = child;
                 continue;
             }
@@ -305,19 +300,11 @@ public:
             const Vertex up = st.parent;
             last_visited_ = v;
             backtrack_upper_ = objective_.value(v);
-            maybe_prefetch(up);
             v = up;
         }
     }
 
 private:
-    /// Software-prefetch of the chosen next vertex's adjacency row; a pure
-    /// memory-system hint issued at every walk transition (see
-    /// RoutingOptions::prefetch).
-    void maybe_prefetch(Vertex v) const noexcept {
-        if (prefetch_) graph_.prefetch_neighbors(v);
-    }
-
     /// SET_NEW_PHI(v, m), lines 30-35.
     void set_new_phi(Vertex v, double phi_v) {
         best_seen_ = phi_v;
@@ -434,10 +421,6 @@ private:
             }
             faults_.advance_epoch();
         }
-        if (result_.steps() + result_.retries >= max_steps_) {
-            result_.status = RoutingStatus::kStepLimit;
-            return kNoVertex;
-        }
         result_.path.push_back(v);
         // A forward along an advertised-but-nonexistent link is swallowed;
         // the attempted hop stays on the trace for the audit to flag.
@@ -452,6 +435,11 @@ private:
             result_.status = RoutingStatus::kDeadEnd;
             return kNoVertex;
         }
+        // Arrival before budget, budget before any further decision.
+        if (v != objective_.target() && result_.steps() + result_.retries >= max_steps_) {
+            result_.status = RoutingStatus::kStepLimit;
+            return kNoVertex;
+        }
         return v;
     }
 
@@ -459,7 +447,6 @@ private:
     const Objective& objective_;
     Vertex source_;
     std::size_t max_steps_;
-    bool prefetch_;
     FaultView faults_;        // route-scoped; inactive when no plan is set
     AdversaryView adversary_; // shared-state view; inactive when no plan is set
 
@@ -899,10 +886,6 @@ private:
             }
             faults_.advance_epoch();
         }
-        if (result_.steps() + result_.retries >= max_steps_) {
-            result_.status = RoutingStatus::kStepLimit;
-            return false;
-        }
         result_.path.push_back(v);
         // A forward along an advertised-but-nonexistent link is swallowed;
         // the attempted hop stays on the trace for the audit to flag.
@@ -915,6 +898,11 @@ private:
         // arrival at the target is delivery regardless.
         if (v != objective_.target() && adversary_.blackholes(v)) {
             result_.status = RoutingStatus::kDeadEnd;
+            return false;
+        }
+        // Arrival before budget, budget before any further decision.
+        if (v != objective_.target() && result_.steps() + result_.retries >= max_steps_) {
+            result_.status = RoutingStatus::kStepLimit;
             return false;
         }
         return true;

@@ -147,10 +147,8 @@ ServingResult simulate_many(const GraphView& graph, const TargetObjectiveFactory
         targets.size(), [&](std::size_t i) { objectives[i] = factory(targets[i]); },
         options.threads);
 
-    const FaultState* fault_state =
-        options.faults != nullptr ? options.faults : options.routing.faults;
-    const AdversaryState* adversary_state =
-        options.adversary != nullptr ? options.adversary : options.routing.adversary;
+    const FaultState* fault_state = options.routing.faults;
+    const AdversaryState* adversary_state = options.routing.adversary;
     const AdversaryView adversary(
         adversary_state != nullptr && adversary_state->plan().any() ? adversary_state
                                                                     : nullptr);

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/fault.h"
-#include "core/faulty.h"
 #include "core/gravity_pressure.h"
 #include "core/greedy.h"
 #include "core/message_history.h"
@@ -24,6 +23,8 @@
 namespace smallworld {
 namespace {
 
+using testing::link_failure_plan;
+using testing::PlannedRouter;
 using testing::ScenarioBuilder;
 
 // ---------------------------------------------------------------- objectives
@@ -433,46 +434,25 @@ std::unique_ptr<Router> make_history() {
     return std::make_unique<MessageHistoryRouter>();
 }
 std::unique_ptr<Router> make_faulty() {
-    // Zero failure probability: behaves like greedy, exercises the same loop.
-    return std::make_unique<FaultyLinkGreedyRouter>(0.0, 1, 0);
+    // Greedy under a zero-probability link plan: inactive, so it must route
+    // exactly like plain greedy.
+    return std::make_unique<PlannedRouter>(make_greedy(), link_failure_plan(0.0, 1, 0));
 }
 
-/// Wraps a router with an *active but no-op* FaultPlan: crash_fraction small
-/// enough to round to zero crashes on the tiny test graphs, so plan.any() is
-/// true — every router takes its faulted code path — while the residual
-/// graph equals the full graph. The budget contract must hold there too.
-class NoOpFaultedRouter final : public Router {
-public:
-    explicit NoOpFaultedRouter(std::unique_ptr<Router> inner) : inner_(std::move(inner)) {}
+/// An *active but no-op* FaultPlan: crash_fraction small enough to round to
+/// zero crashes on the tiny test graphs, so plan.any() is true — every
+/// router takes its faulted code path — while the residual graph equals the
+/// full graph. The budget contract must hold there too.
+std::unique_ptr<Router> noop_faulted(std::unique_ptr<Router> inner) {
+    FaultPlan plan;
+    plan.crash_fraction = 0.05;  // rounds to 0 crashes for n <= 10
+    return std::make_unique<PlannedRouter>(std::move(inner), plan);
+}
 
-    [[nodiscard]] RoutingResult route(const GraphView& graph, const Objective& objective,
-                                      Vertex source,
-                                      const RoutingOptions& options = {}) const override {
-        FaultPlan plan;
-        plan.crash_fraction = 0.05;  // rounds to 0 crashes for n <= 10
-        const FaultState state(graph, plan);
-        RoutingOptions faulted = options;
-        faulted.faults = &state;
-        return inner_->route(graph, objective, source, faulted);
-    }
-    [[nodiscard]] std::string name() const override { return inner_->name() + "+noop"; }
-
-private:
-    std::unique_ptr<Router> inner_;
-};
-
-std::unique_ptr<Router> make_greedy_noop_faulted() {
-    return std::make_unique<NoOpFaultedRouter>(make_greedy());
-}
-std::unique_ptr<Router> make_phi_dfs_noop_faulted() {
-    return std::make_unique<NoOpFaultedRouter>(make_phi_dfs());
-}
-std::unique_ptr<Router> make_gravity_noop_faulted() {
-    return std::make_unique<NoOpFaultedRouter>(make_gravity());
-}
-std::unique_ptr<Router> make_history_noop_faulted() {
-    return std::make_unique<NoOpFaultedRouter>(make_history());
-}
+std::unique_ptr<Router> make_greedy_noop_faulted() { return noop_faulted(make_greedy()); }
+std::unique_ptr<Router> make_phi_dfs_noop_faulted() { return noop_faulted(make_phi_dfs()); }
+std::unique_ptr<Router> make_gravity_noop_faulted() { return noop_faulted(make_gravity()); }
+std::unique_ptr<Router> make_history_noop_faulted() { return noop_faulted(make_history()); }
 
 struct NamedRouter {
     std::uint64_t id;
@@ -555,14 +535,23 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------- all routers: wait-out budget
 
-// With every link down (p = 1.0), each router parks the packet on its chosen
-// move, charging one wait-out hop per epoch against the budget. The boundary
-// contract: a wait landing exactly on effective_max_steps reports kStepLimit
-// (budget beats retry exhaustion); with budget to spare, max_retries
-// consecutive waits drop the packet (kDeadEnd).
+// With every send failing — every link down, or every message lost — each
+// router parks the packet on its chosen move, charging one wait-out hop per
+// epoch against the budget. The boundary contract: a wait landing exactly
+// on effective_max_steps reports kStepLimit (budget beats retry
+// exhaustion); with budget to spare, max_retries consecutive waits drop the
+// packet (kDeadEnd). Both outages must give the same statuses and retries.
 class AllRoutersWaitOutBudget : public ::testing::TestWithParam<RouterCase> {};
 
-RoutingResult route_with_all_links_down(const Router& inner, std::size_t max_steps) {
+struct Outage {
+    const char* name;
+    double link_failure_prob;
+    double message_loss_prob;
+};
+constexpr Outage kOutages[] = {{"links down", 1.0, 0.0}, {"messages lost", 0.0, 1.0}};
+
+RoutingResult route_through_outage(const Router& inner, const Outage& outage,
+                                   std::size_t max_steps) {
     ScenarioBuilder b;
     const Vertex s = b.vertex(0.0);
     const Vertex t = b.vertex(0.3);
@@ -570,7 +559,8 @@ RoutingResult route_with_all_links_down(const Router& inner, std::size_t max_ste
     const GirgObjective obj(g, t);
     FaultPlan plan;
     plan.seed = 7;
-    plan.link_failure_prob = 1.0;
+    plan.link_failure_prob = outage.link_failure_prob;
+    plan.message_loss_prob = outage.message_loss_prob;
     plan.max_retries = 5;
     const FaultState state(g.graph, plan);
     RoutingOptions options;
@@ -581,18 +571,50 @@ RoutingResult route_with_all_links_down(const Router& inner, std::size_t max_ste
 
 TEST_P(AllRoutersWaitOutBudget, WaitOutHopOnBudgetBoundaryIsStepLimit) {
     const auto router = GetParam().router().make();
-    const auto result = route_with_all_links_down(*router, /*max_steps=*/3);
-    EXPECT_EQ(result.status, RoutingStatus::kStepLimit);
-    EXPECT_EQ(result.steps(), 0u);   // never left the source
-    EXPECT_EQ(result.retries, 3u);   // budget consumed entirely by waits
+    for (const Outage& outage : kOutages) {
+        SCOPED_TRACE(outage.name);
+        const auto result = route_through_outage(*router, outage, /*max_steps=*/3);
+        EXPECT_EQ(result.status, RoutingStatus::kStepLimit);
+        EXPECT_EQ(result.steps(), 0u);   // never left the source
+        EXPECT_EQ(result.retries, 3u);   // budget consumed entirely by waits
+    }
+
+    // One more input: the first hop of a 5-vertex chain spends a budget of
+    // 1, and (for these seeds) the next link is down. The budget is checked
+    // on landing, before any further decision, so the route ends kStepLimit
+    // with steps + retries == max_steps: never a drop, never a retry past
+    // the budget.
+    ScenarioBuilder b;
+    std::vector<Vertex> vs;
+    for (int i = 0; i < 5; ++i) vs.push_back(b.vertex(0.01 * i));
+    b.chain(vs);
+    const Girg g = b.build();
+    const GirgObjective obj(g, vs.back());
+    for (const int max_retries : {0, 3}) {
+        for (std::uint64_t seed = 0; seed < 3; ++seed) {
+            SCOPED_TRACE("chain, max_retries=" + std::to_string(max_retries) +
+                         " seed=" + std::to_string(seed));
+            const FaultState state(g.graph, link_failure_plan(0.5, seed, max_retries));
+            RoutingOptions options;
+            options.max_steps = 1;
+            options.faults = &state;
+            const auto result = router->route(g.graph, obj, vs.front(), options);
+            EXPECT_EQ(result.status, RoutingStatus::kStepLimit);
+            EXPECT_EQ(result.steps(), 1u);  // the first hop got through
+            EXPECT_EQ(result.retries, 0u);
+        }
+    }
 }
 
 TEST_P(AllRoutersWaitOutBudget, RetryExhaustionWithBudgetToSpareIsDeadEnd) {
     const auto router = GetParam().router().make();
-    const auto result = route_with_all_links_down(*router, /*max_steps=*/1000);
-    EXPECT_EQ(result.status, RoutingStatus::kDeadEnd);
-    EXPECT_EQ(result.steps(), 0u);
-    EXPECT_EQ(result.retries, 5u);   // exactly max_retries waits before the drop
+    for (const Outage& outage : kOutages) {
+        SCOPED_TRACE(outage.name);
+        const auto result = route_through_outage(*router, outage, /*max_steps=*/1000);
+        EXPECT_EQ(result.status, RoutingStatus::kDeadEnd);
+        EXPECT_EQ(result.steps(), 0u);
+        EXPECT_EQ(result.retries, 5u);   // exactly max_retries waits before the drop
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

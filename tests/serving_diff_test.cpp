@@ -214,8 +214,8 @@ std::vector<Cell> cells(const Girg& girg, const FaultState* faults,
                                 " budget=" + std::to_string(budget);
                     ServingOptions& options = cell.options;
                     options.routing.max_steps = budget;
-                    options.faults = faults;
-                    options.adversary = adversary;
+                    options.routing.faults = faults;
+                    options.routing.adversary = adversary;
                     options.latency = latency.model;
                     options.positions = &girg.positions;
                     options.service_ticks = service;
@@ -312,7 +312,7 @@ ServingQuery phantom_ending_query(const Girg& girg, const DistributedProtocol& p
                                   const FaultState* faults,
                                   const AdversaryState& adversary) {
     const AdversaryView view(&adversary);
-    FaultedSimulationOptions options;
+    RoutingOptions options;
     options.faults = faults;
     options.adversary = &adversary;
     for (Vertex s = 0; s < girg.num_vertices(); ++s) {

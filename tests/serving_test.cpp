@@ -325,7 +325,7 @@ TEST(ServingEquivalence, SingleFaultedQueryReplaysLockstepDrawForDraw) {
         const auto s = static_cast<Vertex>(rng.uniform_index(girg.num_vertices()));
         const auto t = static_cast<Vertex>(rng.uniform_index(girg.num_vertices()));
         ServingOptions options;
-        options.faults = &faults;
+        options.routing.faults = &faults;
         options.latency.base_ticks = 0;
         options.service_ticks = 0;
         const ServingQuery query{s, t, 0};
@@ -333,7 +333,7 @@ TEST(ServingEquivalence, SingleFaultedQueryReplaysLockstepDrawForDraw) {
             simulate_many(girg.graph, girg_factory(girg), greedy, {&query, 1}, options);
 
         const GirgObjective obj(girg, t);
-        FaultedSimulationOptions lockstep_options;
+        RoutingOptions lockstep_options;
         lockstep_options.faults = &faults;
         const auto lockstep =
             simulate_routing(girg.graph, obj, greedy, s, lockstep_options);
@@ -414,7 +414,7 @@ TEST(ServingDeterminism, BitIdenticalAcrossThreadCounts) {
     }
     const auto run = [&](unsigned threads) {
         ServingOptions options;
-        options.faults = &faults;
+        options.routing.faults = &faults;
         options.latency.kind = LatencyKind::kSeededJitter;
         options.latency.base_ticks = 1;
         options.latency.jitter_ticks = 4;

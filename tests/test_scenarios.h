@@ -1,7 +1,12 @@
 #pragma once
 
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "core/fault.h"
+#include "core/router.h"
 #include "girg/girg.h"
 #include "girg/params.h"
 
@@ -50,5 +55,38 @@ private:
     Girg girg_;
     std::vector<Edge> edges_;
 };
+
+/// Runs `inner` with RoutingOptions::faults set to a FaultState built from
+/// `plan` for whichever graph it routes: how a test hands one plan to code
+/// that takes a Router. The wrapper's plan replaces the caller's.
+class PlannedRouter final : public Router {
+public:
+    PlannedRouter(std::unique_ptr<Router> inner, const FaultPlan& plan)
+        : inner_(std::move(inner)), plan_(plan) {}
+
+    [[nodiscard]] RoutingResult route(const GraphView& graph, const Objective& objective,
+                                      Vertex source,
+                                      const RoutingOptions& options = {}) const override {
+        const FaultState state(graph, plan_);
+        RoutingOptions planned = options;
+        planned.faults = &state;
+        return inner_->route(graph, objective, source, planned);
+    }
+    [[nodiscard]] std::string name() const override { return inner_->name() + "+plan"; }
+
+private:
+    std::unique_ptr<Router> inner_;
+    FaultPlan plan_;
+};
+
+/// A plan of transient link failures only: Theorem 3.5's robustness
+/// scenario, where each link is down per epoch with probability `p`.
+inline FaultPlan link_failure_plan(double p, std::uint64_t seed, int max_retries = 3) {
+    FaultPlan plan;
+    plan.seed = seed;
+    plan.link_failure_prob = p;
+    plan.max_retries = max_retries;
+    return plan;
+}
 
 }  // namespace smallworld::testing
