@@ -127,4 +127,17 @@ void ClaimedObjective::values(std::span<const Vertex> vertices, double* out) con
     }
 }
 
+BestNeighbor ClaimedObjective::best_of(std::span<const Vertex> vertices) const {
+    scratch_.resize(vertices.size());
+    values(vertices, scratch_.data());
+    BestNeighbor best;
+    for (std::size_t i = 0; i < vertices.size(); ++i) {
+        if (best.vertex == kNoVertex || scratch_[i] > best.value) {
+            best.vertex = vertices[i];
+            best.value = scratch_[i];
+        }
+    }
+    return best;
+}
+
 }  // namespace smallworld

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "girg/girg.h"
 #include "girg/phi_evaluator.h"
@@ -171,12 +172,16 @@ public:
     [[nodiscard]] double value(Vertex v) const override;
     [[nodiscard]] Vertex target() const override { return target_; }
     void values(std::span<const Vertex> vertices, double* out) const override;
+    /// One batched values() pass, then the first maximum.
+    [[nodiscard]] BestNeighbor best_of(std::span<const Vertex> vertices) const override;
 
 private:
     const Objective* base_;
     const AdversaryState* adversary_;
     Vertex target_;
     const double* target_position_;  // null when the adversary has no positions
+    // best_of's claimed values.
+    mutable std::vector<double> scratch_;
 };
 
 }  // namespace smallworld

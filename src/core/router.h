@@ -18,7 +18,10 @@ enum class RoutingStatus {
     kDeadEnd,    ///< packet dropped: greedy local optimum, or (under an
                  ///< active FaultPlan) a crashed source / retries exhausted
     kExhausted,  ///< a patching protocol explored s's whole component: t unreachable
-    kStepLimit,  ///< safety cap hit (indicates a protocol bug in our setting)
+    kStepLimit,  ///< the step budget ran out (steps() + retries reached
+                 ///< max_steps): a long exploration, wait-outs on down
+                 ///< links, or a misrouting holder that traps a patching
+                 ///< protocol in a loop
 };
 
 struct RoutingResult {

@@ -1,126 +1,16 @@
 #include "distributed/protocols.h"
 
-#include <limits>
-
 namespace smallworld {
-
-namespace {
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-constexpr double kPosInf = std::numeric_limits<double>::infinity();
-}  // namespace
-
-// -------------------------------------------------------------- greedy
 
 Action DistributedGreedy::on_wake(const LocalView& view, ProtocolMessage& message,
                                   NodeSlot& slot) const {
     (void)slot;
     if (view.self() == message.target) return Action::deliver();
-    const Vertex best = view.best_neighbor();
-    if (best == kNoVertex || !(view.phi(best) > view.phi(view.self()))) {
+    const BestNeighbor best = view.best();
+    if (best.vertex == kNoVertex || !(best.value > view.phi(view.self()))) {
         return Action::drop();
     }
-    return Action::forward(best);
-}
-
-// -------------------------------------------------------------- phi-DFS
-
-void DistributedPhiDfs::on_start(const LocalView& view, ProtocolMessage& message,
-                                 NodeSlot& slot) const {
-    message.best_seen = kNegInf;
-    message.phi = kNegInf;
-    message.last_visited = view.self();
-    message.backtracking = false;
-    slot.phi = view.phi(view.self());  // line 5 of Algorithm 2
-}
-
-Action DistributedPhiDfs::on_wake(const LocalView& view, ProtocolMessage& message,
-                                  NodeSlot& slot) const {
-    const Vertex self = view.self();
-    if (self == message.target) return Action::deliver();
-
-    // Line 19's child scan, bounded below by m.Phi and above by the
-    // objective of the child we returned from (carried in the message).
-    const auto best_unexplored_child = [&]() {
-        Vertex best = kNoVertex;
-        double best_value = kNegInf;
-        for (const Vertex u : view.neighbors()) {
-            if (u == slot.parent) continue;
-            const double value = view.phi(u);
-            if (value >= message.phi && value < message.backtrack_upper &&
-                value > best_value) {
-                best = u;
-                best_value = value;
-            }
-        }
-        return best;
-    };
-
-    // The node may process several pseudocode ops before the message moves
-    // (e.g. resuming a paused DFS re-enters the scan at the same node).
-    while (true) {
-        if (!message.backtracking) {
-            // EXPLORE(self), lines 7-17.
-            if (slot.phi == message.phi) {
-                // Already visited in the current Phi-DFS: bounce back.
-                const Vertex back = message.last_visited;
-                message.backtrack_upper = view.phi(self);
-                message.last_visited = self;
-                message.backtracking = true;
-                return Action::forward(back);
-            }
-            const double phi_self = view.phi(self);
-            if (phi_self > message.best_seen) {
-                // SET_NEW_PHI(self), lines 30-35.
-                message.best_seen = phi_self;
-                const Vertex best = view.best_neighbor();
-                if (best != kNoVertex && view.phi(best) >= phi_self) {
-                    slot.started_new_dfs = true;
-                    slot.previous_phi = message.phi;
-                    message.phi = phi_self;
-                }
-            }
-            // INIT_VERTEX(self), lines 40-42.
-            slot.phi = message.phi;
-            slot.parent = message.last_visited;
-            // Lines 14-17.
-            const Vertex best = view.best_neighbor();
-            if (best != kNoVertex && view.phi(best) >= message.phi) {
-                message.last_visited = self;
-                message.backtracking = false;
-                return Action::forward(best);
-            }
-            const Vertex back = message.last_visited;
-            message.backtrack_upper = phi_self;
-            message.last_visited = self;
-            message.backtracking = true;
-            if (back == self) continue;  // the source backtracks in place
-            return Action::forward(back);
-        }
-
-        // BACKTRACK_TO(self), lines 18-29.
-        const Vertex child = best_unexplored_child();
-        if (child != kNoVertex) {
-            message.last_visited = self;
-            message.backtracking = false;
-            return Action::forward(child);
-        }
-        if (slot.started_new_dfs) {
-            // Resume the paused DFS and rescan this node's children (see
-            // PhiDfsRouter for why the rescan uses an unbounded window).
-            slot.started_new_dfs = false;
-            message.phi = slot.previous_phi;
-            slot.phi = slot.previous_phi;
-            message.backtrack_upper = kPosInf;
-            continue;
-        }
-        if (slot.parent == self || slot.parent == kNoVertex) {
-            return Action::exhaust();
-        }
-        const Vertex up = slot.parent;
-        message.backtrack_upper = view.phi(self);
-        message.last_visited = self;
-        return Action::forward(up);
-    }
+    return Action::forward(best.vertex);
 }
 
 }  // namespace smallworld

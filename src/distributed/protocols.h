@@ -1,38 +1,20 @@
 #pragma once
 
-#include "distributed/simulation.h"
+#include "core/walk.h"
 
 #include <string>
 
 namespace smallworld {
 
-/// Algorithm 1 as a node-local handler: forward to the best neighbor if it
-/// improves on the current node, else drop. Stateless per node.
+/// Algorithm 1 as a node-local handler for the lockstep walk (core/walk.h):
+/// forward to the best neighbor if it improves on the current node, else
+/// drop. Stateless per node. Algorithm 2's handler, DistributedPhiDfs, lives
+/// with its router in core/phi_dfs.h.
 class DistributedGreedy final : public DistributedProtocol {
 public:
     [[nodiscard]] Action on_wake(const LocalView& view, ProtocolMessage& message,
                                  NodeSlot& slot) const override;
     [[nodiscard]] std::string name() const override { return "dist-greedy"; }
-};
-
-/// Algorithm 2 as a node-local handler — the paper's showcase that the
-/// patching protocol is genuinely distributed: constant per-node slot,
-/// constant message payload, one node awake at a time. Produces exactly the
-/// same move sequence as the centralized PhiDfsRouter (asserted in tests).
-///
-/// One honest difference from the pseudocode: the objective of the vertex
-/// the message backtracks *from* (which bounds the remaining child scan,
-/// line 19's phi(m.last_visited_vertex)) is carried in the message as
-/// `backtrack_upper`, because a real node cannot evaluate phi of a
-/// non-neighbor. This keeps the payload constant-size and the execution
-/// strictly local.
-class DistributedPhiDfs final : public DistributedProtocol {
-public:
-    void on_start(const LocalView& view, ProtocolMessage& message,
-                  NodeSlot& slot) const override;
-    [[nodiscard]] Action on_wake(const LocalView& view, ProtocolMessage& message,
-                                 NodeSlot& slot) const override;
-    [[nodiscard]] std::string name() const override { return "dist-phi-dfs"; }
 };
 
 }  // namespace smallworld

@@ -23,8 +23,8 @@ struct NodeState {
     bool wake_scheduled = false;  ///< exactly one pending kWake per busy node
 };
 
-/// Protocol wakes of a decided walk: every wake is one on_wake (or misroute)
-/// call or one charged retry of the send chokepoint.
+/// Protocol wakes of a decided walk: every wake is one on_wake call or one
+/// charged retry of the send chokepoint.
 std::size_t decided_wakes(const DistributedResult& walk) noexcept {
     return walk.telemetry.wakes - walk.telemetry.retries;
 }
@@ -51,8 +51,8 @@ ServingResult simulate_many(const GraphView& graph, const TargetObjectiveFactory
     // Phase 1, decide. A query's walk depends only on its own message and
     // slots, its own fault stream (nonce = batch index) and the static
     // adversary, never on other queries; timing only orders events and
-    // decides capacity drops. So each query walks to completion with the
-    // lockstep simulator, target by target: one objective is alive at a
+    // decides capacity drops. So each query walks to completion on the
+    // lockstep walk, target by target: one objective is alive at a
     // time, and its memo serves every query toward its target. Bounded
     // queues also keep the telemetry as of each arrival a walk causes, for
     // the queries phase 2 refuses.

@@ -7,28 +7,27 @@
 #include <span>
 #include <vector>
 
+#include "core/walk.h"
 #include "distributed/event.h"
 #include "distributed/latency.h"
-#include "distributed/simulation.h"
 
 namespace smallworld {
 
 /// The discrete-event serving layer (DESIGN.md §10): many concurrent
 /// in-flight queries move through one shared graph under simulated time.
-/// Each query is the same node-local protocol execution the lockstep
-/// simulator runs — same LocalView locality enforcement, same send
-/// chokepoint, same budget convention — but messages now take per-link
-/// latency to travel, land in bounded per-node FIFO queues, and wait for
-/// the node to serve them one per service interval. With a single query and
-/// zero latency the event execution replays the lockstep simulator's walk
-/// move for move (tested); with thousands of queries it is the "millions of
-/// users" serving story: queue depths, drops, wake counts, and busy time
-/// become the measured quantities.
+/// Each query is the lockstep walk of core/walk.h — same LocalView locality
+/// enforcement, same regime, misroute rule and budget convention — but
+/// messages now take per-link latency to travel, land in bounded per-node
+/// FIFO queues, and wait for the node to serve them one per service
+/// interval. With a single query and zero latency the event execution
+/// replays the lockstep walk move for move (tested); with thousands of
+/// queries it is the "millions of users" serving story: queue depths,
+/// drops, wake counts, and busy time become the measured quantities.
 ///
 /// A run decides, then times. Only the message holder is awake and it
 /// decides from its own view and the packet, so a query's walk never
-/// depends on other queries: phase 1 walks every query to completion with
-/// the lockstep simulator, target by target, and phase 2 replays the walks
+/// depends on other queries: phase 1 walks every query to completion on
+/// the lockstep walk, target by target, and phase 2 replays the walks
 /// through the event clock (arrivals, queues, service, latency, drops).
 
 /// One routing request: route a message from `source` to `target`, injected
@@ -47,8 +46,8 @@ struct ServingQuery {
 using TargetObjectiveFactory = std::function<std::unique_ptr<Objective>(Vertex target)>;
 
 struct ServingOptions {
-    /// Per-query step budget, fault plan and adversary, exactly as in the
-    /// lockstep simulator. Query k draws from the per-query fault stream
+    /// Per-query step budget, fault plan and adversary, exactly as on the
+    /// lockstep walk. Query k draws from the per-query fault stream
     /// FaultView(routing.faults, source, k), so query 0 replays the lockstep
     /// stream. The adversary's lies are static per (seed, vertex) — every
     /// query sees the same liars — so it composes with the per-query nonces.

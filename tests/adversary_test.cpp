@@ -408,6 +408,69 @@ TEST(AdversaryRouting, MisrouteForwardsToTheWorstNeighborAndIsObserved) {
     EXPECT_EQ(audit.objective_equivocations, 0u);  // no attribute lie told
 }
 
+/// Runs Φ-DFS from `s` under a misroute-only plan that compromises the
+/// heaviest vertex, through the lockstep walk and through PhiDfsRouter.
+DistributedResult misrouted_phi_dfs(const Girg& g, Vertex s, Vertex t, Vertex b) {
+    AdversaryPlan plan;
+    plan.byzantine_fraction = 1.0 / static_cast<double>(g.num_vertices());  // k = 1
+    plan.selection = AdversarySelection::kHighestWeight;
+    plan.misroute = true;
+    const AdversaryState state(g.graph, plan, g.weights);
+    EXPECT_TRUE(state.byzantine(b));
+    const GirgObjective obj(g, t);
+    RoutingOptions options;
+    options.adversary = &state;
+    const auto walked = simulate_routing(g.graph, obj, DistributedPhiDfs{}, s, options);
+    const auto routed = PhiDfsRouter{}.route(g.graph, obj, s, options);
+    EXPECT_EQ(routed.status, walked.routing.status);
+    EXPECT_EQ(routed.path, walked.routing.path);
+    EXPECT_EQ(walked.telemetry.illegal_forwards, 0u);
+    EXPECT_EQ(walked.telemetry.locality_violations, 0u);
+    return walked;
+}
+
+TEST(AdversaryRouting, MisroutedBacktrackArrivesAsAnExplorationFromTheHolder) {
+    // phi: b 0.556 > v1 0.222 > s 0.2 > v2 0.029. b misroutes to its worst
+    // neighbor v2 every time it holds the packet. Its first wake explores
+    // toward t and is diverted to v2, which explores and returns to b; b
+    // bounces back to v2, its own choice, so the bounce travels as sent.
+    // v2 backtracks up to b, b's phi(b)-DFS fails, the paused phi(s)-DFS
+    // finds nothing more at b, and b backtracks toward its parent s — the
+    // hijack diverts that backtrack to v2, which receives it as an
+    // exploration sent by b: v2 starts over in the phi(s)-DFS under parent
+    // b, returns to b, gets bounced back, and this time finds its child v1.
+    ScenarioBuilder builder;
+    const Vertex b = builder.vertex(0.32, 10.0);
+    const Vertex v1 = builder.vertex(0.59, 2.0);
+    const Vertex v2 = builder.vertex(0.84, 1.0);
+    const Vertex s = builder.vertex(0.7, 4.0);
+    const Vertex t = builder.vertex(0.5, 4.0);
+    const Girg g = builder.edge(b, v2).edge(b, s).edge(b, t).edge(v1, v2).edge(v1, s)
+                       .edge(v1, t).build();
+    const auto result = misrouted_phi_dfs(g, s, t, b);
+    EXPECT_EQ(result.routing.status, RoutingStatus::kDelivered);
+    EXPECT_EQ(result.routing.path,
+              (std::vector<Vertex>{s, b, v2, b, v2, b, v2, b, v2, v1, t}));
+    EXPECT_EQ(result.telemetry.misroutes_observed, 4u);
+}
+
+TEST(AdversaryRouting, HijackOntoTheStepsOwnChoiceTravelsAsSent) {
+    // b is a leaf, so its hijack always picks s, the vertex its step chose.
+    // b explores s, which bounces back; b then backtracks to s, and s must
+    // receive that as a backtrack and go on to its next child a. Were it an
+    // exploration, s would bounce it back to b forever.
+    ScenarioBuilder builder;
+    const Vertex s = builder.vertex(0.3, 1.0);
+    const Vertex b = builder.vertex(0.1, 10.0);
+    const Vertex a = builder.vertex(0.2, 2.0);
+    const Vertex t = builder.vertex(0.5, 1.0);
+    const Girg g = builder.edge(s, b).edge(s, a).edge(a, t).build();
+    const auto result = misrouted_phi_dfs(g, s, t, b);
+    EXPECT_EQ(result.routing.status, RoutingStatus::kDelivered);
+    EXPECT_EQ(result.routing.path, (std::vector<Vertex>{s, b, s, b, s, a, t}));
+    EXPECT_EQ(result.telemetry.misroutes_observed, 2u);
+}
+
 TEST(AdversaryRouting, InFlightLossBeatsTheBlackhole) {
     // FaultPlan::max_retries interaction: when every send toward the
     // blackhole is lost in flight, the packet dies on the wire — charged as

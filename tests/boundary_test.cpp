@@ -10,8 +10,8 @@
 #include "core/greedy.h"
 #include "core/message_history.h"
 #include "core/phi_dfs.h"
+#include "core/walk.h"
 #include "distributed/protocols.h"
-#include "distributed/simulation.h"
 #include "girg/generator.h"
 #include "test_scenarios.h"
 

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <utility>
+#include <vector>
+
+#include "core/adversary.h"
+#include "core/fault.h"
 #include "core/greedy.h"
 #include "core/phi_dfs.h"
+#include "core/walk.h"
 #include "distributed/protocols.h"
-#include "distributed/simulation.h"
 #include "girg/generator.h"
 #include "graph/components.h"
+#include "reference_routers.h"
 #include "test_scenarios.h"
 
 namespace smallworld {
@@ -126,26 +133,98 @@ TEST(DistributedGreedyTest, PathsMatchCentralizedRouter) {
 }
 
 TEST(DistributedPhiDfsTest, PathsMatchCentralizedRouter) {
-    // The strongest check in this suite: the message-passing Phi-DFS and
-    // the centralized state machine must take the *identical* walk,
-    // including all backtracking, on sparse graphs with many dead ends.
+    // The strongest check in this suite: the message-passing Phi-DFS must
+    // take the *identical* walk as the centralized state machine kept as
+    // the oracle (tests/reference_routers.*), including all backtracking,
+    // on sparse graphs with many dead ends — honestly, and under crashes,
+    // link outages, edge removals and misrouting, phantom-advertising liars
+    // (the oracle models no message loss).
     const Girg g = generate_girg(dist_params(1.0), 33);
+    FaultPlan fault_plan;
+    fault_plan.seed = 35;
+    fault_plan.crash_fraction = 0.05;
+    fault_plan.link_failure_prob = 0.1;
+    fault_plan.edge_removal_prob = 0.05;
+    const FaultState faults(g.graph, fault_plan);
+    AdversaryPlan adversary_plan;
+    adversary_plan.seed = 36;
+    adversary_plan.byzantine_fraction = 0.05;
+    adversary_plan.weight_lie_factor = 4.0;
+    adversary_plan.phantom_neighbors = 2;
+    adversary_plan.misroute = true;
+    const AdversaryState adversary(g.graph, adversary_plan);
+    RoutingOptions honest;
+    honest.max_steps = 300 * g.num_vertices();
+    // A misrouting liar can trap the DFS until its budget runs out.
+    RoutingOptions hostile;
+    hostile.max_steps = 4000;
+    hostile.faults = &faults;
+    hostile.adversary = &adversary;
+
     Rng rng(34);
-    const PhiDfsRouter centralized;
+    const reference::PhiDfsRouter oracle;
     const DistributedPhiDfs distributed;
-    RoutingOptions options;
-    options.max_steps = 300 * g.num_vertices();
     for (int trial = 0; trial < 120; ++trial) {
         const auto s = static_cast<Vertex>(rng.uniform_index(g.num_vertices()));
         const auto t = static_cast<Vertex>(rng.uniform_index(g.num_vertices()));
         if (s == t) continue;
         const GirgObjective obj(g, t);
-        const auto a = centralized.route(g.graph, obj, s, options);
-        const auto b = simulate_routing(g.graph, obj, distributed, s, options);
-        ASSERT_EQ(a.status, b.routing.status) << "s=" << s << " t=" << t;
-        ASSERT_EQ(a.path, b.routing.path) << "s=" << s << " t=" << t;
-        EXPECT_EQ(b.telemetry.locality_violations, 0u);
-        EXPECT_EQ(b.telemetry.illegal_forwards, 0u);
+        for (const RoutingOptions* options : {&honest, &hostile}) {
+            const auto a = oracle.route(g.graph, obj, s, *options);
+            const auto b = simulate_routing(g.graph, obj, distributed, s, *options);
+            ASSERT_EQ(a.status, b.routing.status) << "s=" << s << " t=" << t;
+            ASSERT_EQ(a.path, b.routing.path) << "s=" << s << " t=" << t;
+            ASSERT_EQ(a.retries, b.routing.retries) << "s=" << s << " t=" << t;
+            EXPECT_EQ(b.telemetry.locality_violations, 0u);
+            EXPECT_EQ(b.telemetry.illegal_forwards, 0u);
+        }
+    }
+}
+
+TEST(DistributedPhiDfsTest, MisroutingLiarsNeverForceAnIllegalForward) {
+    // The walk's misroute rule on a 2^14 GIRG: a misrouting holder runs its
+    // step, and a hijack elsewhere arrives as an exploration it sent. With
+    // 5% and 15% of the vertices misrouting, no route forwards to a
+    // non-neighbor, and every route equals the oracle's.
+    GirgParams params;
+    params.n = 1 << 14;
+    params.dim = 2;
+    params.alpha = 2.0;
+    params.beta = 2.5;
+    params.wmin = 2.0;
+    params.edge_scale = calibrated_edge_scale(params);
+    const Girg g = generate_girg(params, 41);
+    Rng rng(42);
+    std::vector<std::pair<Vertex, Vertex>> pairs;
+    while (pairs.size() < 800) {
+        const auto s = static_cast<Vertex>(rng.uniform_index(g.num_vertices()));
+        const auto t = static_cast<Vertex>(rng.uniform_index(g.num_vertices()));
+        if (s != t) pairs.emplace_back(s, t);
+    }
+    const reference::PhiDfsRouter oracle;
+    const DistributedPhiDfs distributed;
+    for (const double fraction : {0.05, 0.15}) {
+        AdversaryPlan plan;
+        plan.seed = 43;
+        plan.byzantine_fraction = fraction;
+        plan.misroute = true;
+        const AdversaryState state(g.graph, plan);
+        RoutingOptions options;
+        options.adversary = &state;
+        options.max_steps = 4000;
+        std::size_t illegal = 0;
+        std::size_t misrouted = 0;
+        for (const auto& [s, t] : pairs) {
+            const GirgObjective obj(g, t);
+            const auto walked = simulate_routing(g.graph, obj, distributed, s, options);
+            const auto expected = oracle.route(g.graph, obj, s, options);
+            ASSERT_EQ(expected.status, walked.routing.status) << "s=" << s << " t=" << t;
+            ASSERT_EQ(expected.path, walked.routing.path) << "s=" << s << " t=" << t;
+            illegal += walked.telemetry.illegal_forwards;
+            if (walked.telemetry.misroutes_observed != 0) ++misrouted;
+        }
+        EXPECT_EQ(illegal, 0u) << "fraction " << fraction;
+        EXPECT_GT(misrouted, 0u) << "fraction " << fraction;
     }
 }
 

@@ -453,9 +453,9 @@ TEST(FaultedSimulation, DeadNeighborsAreFilteredAndCounted) {
     EXPECT_EQ(result.routing.steps(), 1u);
     EXPECT_EQ(result.telemetry.wakes, 2u);
     EXPECT_EQ(result.telemetry.messages_sent, 1u);
-    // The dead neighbor is filtered from s's visible span once for on_start
-    // and once for s's wake.
-    EXPECT_EQ(result.telemetry.skipped_dead_neighbors, 2u);
+    // The dead neighbor is filtered once per row read: s's wake reads its
+    // row, while on_start and t's delivering wake read none.
+    EXPECT_EQ(result.telemetry.skipped_dead_neighbors, 1u);
     EXPECT_EQ(result.telemetry.illegal_forwards, 0u);
 }
 

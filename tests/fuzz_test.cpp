@@ -14,11 +14,11 @@
 #include "core/message_history.h"
 #include "core/p_checker.h"
 #include "core/phi_dfs.h"
-#include "distributed/protocols.h"
-#include "distributed/simulation.h"
+#include "core/walk.h"
 #include "graph/bfs.h"
 #include "graph/components.h"
 #include "random/rng.h"
+#include "reference_routers.h"
 
 namespace smallworld {
 namespace {
@@ -134,8 +134,10 @@ TEST(Fuzz, ProtocolsUnderTies) {
 }
 
 TEST(Fuzz, DistributedPhiDfsMatchesCentralizedOnRandomGraphs) {
+    // The centralized state machine is the oracle's (tests/reference_routers.*):
+    // PhiDfsRouter itself now runs the node-local handler.
     Rng rng(0xCAFE);
-    const PhiDfsRouter centralized;
+    const reference::PhiDfsRouter centralized;
     const DistributedPhiDfs distributed;
     for (int trial = 0; trial < 150; ++trial) {
         const auto n = static_cast<Vertex>(4 + rng.uniform_index(30));

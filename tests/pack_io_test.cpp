@@ -24,8 +24,8 @@
 #include "core/message_history.h"
 #include "core/phi_dfs.h"
 #include "core/router.h"
+#include "core/walk.h"
 #include "distributed/protocols.h"
-#include "distributed/simulation.h"
 #include "girg/fingerprint.h"
 #include "girg/generator.h"
 #include "girg/pack_io.h"

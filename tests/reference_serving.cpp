@@ -15,7 +15,10 @@
 #include "core/thread_pool.h"
 
 // Copies of the pre-split serving code (see reference_serving.h); only
-// namespaces, the NodeQueue and SendOutcome scoping, and comments differ.
+// namespaces, the NodeQueue and SendOutcome scoping, and comments differ,
+// plus the walk's later contract: a wake's view reads its visible row on
+// first use (QueryRows; the forward check reads the advertised row
+// instead), and a misrouting holder runs its step before its hijack.
 // Keep the code as it is: it is the oracle.
 namespace smallworld::reference {
 
@@ -117,6 +120,21 @@ struct NodeState {
     SimTime busy_ticks = 0;
 };
 
+/// The loop's visible() bound to one query: what a LocalView reads on first
+/// use.
+template <class Visible>
+class QueryRows final : public RowSource {
+public:
+    QueryRows(const Visible& visible, QueryRun& run) : visible_(&visible), run_(&run) {}
+    [[nodiscard]] std::span<const Vertex> visible_row(Vertex self) override {
+        return (*visible_)(*run_, self);
+    }
+
+private:
+    const Visible* visible_;
+    QueryRun* run_;
+};
+
 }  // namespace
 
 ServingResult simulate_many(const GraphView& graph, const TargetObjectiveFactory& factory,
@@ -174,11 +192,12 @@ ServingResult simulate_many(const GraphView& graph, const TargetObjectiveFactory
     std::vector<QueryRun> runs(queries.size());
     ServingResult out;
 
-    // Residual neighborhood of the awake node, rebuilt per wake into
+    // Residual neighborhood of the awake node, rebuilt per row read into
     // loop-owned storage (the event loop is sequential, so one scratch
     // buffer serves every query).
     std::vector<Vertex> visible_scratch;
     std::vector<Vertex> adv_scratch;
+    std::vector<double> values_scratch;
     const auto visible = [&](QueryRun& run, Vertex v) -> std::span<const Vertex> {
         const bool lies = adversary.advertises_phantoms(v);
         if (!run.faults.active() && !lies) return graph.neighbors(v);
@@ -225,9 +244,9 @@ ServingResult simulate_many(const GraphView& graph, const TargetObjectiveFactory
         }
 
         run.message.target = q.target;
-        const auto nbrs = visible(run, q.source);
-        const LocalView view(graph, *run.objective, q.source,
-                             &run.result.telemetry.locality_violations, nbrs);
+        QueryRows rows(visible, run);
+        const LocalView view(*run.objective, q.source, rows, values_scratch,
+                             run.result.telemetry.locality_violations);
         protocol.on_start(view, run.message, run.slots[q.source]);
         events.push(q.start_time, EventKind::kArrival, q.source, static_cast<QueryId>(i));
     }
@@ -266,15 +285,19 @@ ServingResult simulate_many(const GraphView& graph, const TargetObjectiveFactory
 
         const Vertex self = e.node;
         ++run.result.telemetry.wakes;
-        const auto nbrs = visible(run, self);
-        Action action;
-        if (adversary.misroutes(self) && self != run.message.target) {
-            // A byzantine holder never runs the honest protocol: the packet
-            // goes to its *worst* visible neighbor by claimed value
-            // (first-min in span order); slot state stays untouched.
+        QueryRows rows(visible, run);
+        const LocalView view(*run.objective, self, rows, values_scratch,
+                             run.result.telemetry.locality_violations);
+        Action action = protocol.on_wake(view, run.message, run.slots[self]);
+        if (adversary.misroutes(self) &&
+            (action.kind == ActionKind::kForward || action.kind == ActionKind::kDrop)) {
+            // A byzantine holder runs its step like any other, then the
+            // packet goes to its *worst* visible neighbor by claimed value
+            // (first-min in span order) instead: as sent when that is the
+            // step's own choice, else as an exploration the holder sent.
             Vertex worst = kNoVertex;
             double worst_value = 0.0;
-            for (const Vertex u : nbrs) {
+            for (const Vertex u : view.neighbors()) {
                 const double value = run.objective->value(u);
                 if (worst == kNoVertex || value < worst_value) {
                     worst = u;
@@ -284,13 +307,13 @@ ServingResult simulate_many(const GraphView& graph, const TargetObjectiveFactory
             if (worst == kNoVertex) {
                 action = Action::drop();  // isolated liar
             } else {
+                if (worst != action.next) {
+                    run.message.last_visited = self;
+                    run.message.backtracking = false;
+                }
                 action = Action::forward(worst);
                 ++run.result.telemetry.misroutes_observed;
             }
-        } else {
-            const LocalView view(graph, *run.objective, self,
-                                 &run.result.telemetry.locality_violations, nbrs);
-            action = protocol.on_wake(view, run.message, run.slots[self]);
         }
         switch (action.kind) {
             case ActionKind::kDeliver:
@@ -303,7 +326,14 @@ ServingResult simulate_many(const GraphView& graph, const TargetObjectiveFactory
                 finish(run, RoutingStatus::kExhausted);
                 break;
             case ActionKind::kForward: {
-                if (!std::binary_search(nbrs.begin(), nbrs.end(), action.next)) {
+                // Legal along the advertised row, to a usable neighbor; the
+                // check reads no visible row.
+                const auto advertised =
+                    adversary.advertises_phantoms(self)
+                        ? adversary.advertised_neighbors(graph, self, adv_scratch)
+                        : graph.neighbors(self);
+                if (!std::binary_search(advertised.begin(), advertised.end(), action.next) ||
+                    !run.faults.usable(self, action.next)) {
                     ++run.result.telemetry.illegal_forwards;
                     finish(run, RoutingStatus::kDeadEnd);
                     break;

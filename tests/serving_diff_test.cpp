@@ -12,6 +12,7 @@
 
 #include "core/adversary.h"
 #include "core/fault.h"
+#include "core/phi_dfs.h"
 #include "distributed/protocols.h"
 #include "distributed/serving.h"
 #include "girg/generator.h"

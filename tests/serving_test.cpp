@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/fault.h"
+#include "core/phi_dfs.h"
 #include "distributed/event.h"
 #include "distributed/latency.h"
 #include "distributed/protocols.h"
