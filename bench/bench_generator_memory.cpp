@@ -1,15 +1,14 @@
-// EXP-SCALE — generation peak-memory ablation: the legacy buffer-everything
-// edge path (contiguous std::vector<Edge> + relabel rewrite + CSR copy) vs
-// the streaming chunked-sink pipeline (graph/edge_stream.h) that feeds the
-// CSR build directly. Reports, per n, the generation peak RSS as a ratio of
-// the finished instance's heap footprint, and asserts that both pipelines
-// produce bit-identical output (weights, coordinates, CSR).
+// EXP-SCALE — generation peak memory of the streaming pipeline: chunked
+// edge sinks (graph/edge_stream.h) feeding the CSR build directly, with the
+// Morton relabeling fused into emission. Reports, per n, the generation
+// peak RSS as a ratio of the finished instance's heap footprint, with an
+// FNV fingerprint of the instance (weights, coordinates, CSR) per row.
 //
-// ru_maxrss is a process-lifetime high-water mark, so each (mode, n) point
-// runs in its own child process: the parent re-executes this binary with
-// `--measure <mode> <n>` and parses one key=value result line. Modes:
+// ru_maxrss is a process-lifetime high-water mark, so each n runs in its
+// own child process: the parent re-executes this binary with
+// `--measure <n>` and parses one key=value result line. Modes:
 //
-//   --measure <legacy|streaming> <n> [threads]   one measurement (child)
+//   --measure <n> [threads]  one measurement (child)
 //   --sweep [output.json]    n = 2^17..2^22, writes BENCH_generator_memory.json
 //   --smoke [output.json]    n = 2^14..2^15, same format (CI-sized)
 //
@@ -38,18 +37,16 @@ constexpr std::uint64_t kVertexSeed = 22001;
 
 
 /// Child mode: generate one instance and print a parseable result line.
-int run_measure(const std::string& mode, int n, unsigned threads) {
+int run_measure(int n, unsigned threads) {
     GirgParams params = standard_params(static_cast<double>(n), 2.5, 2.0, 2.0, 2);
     params.threads = threads;
-    GenerateOptions options;
-    options.streaming_csr = mode == "streaming";
 
     const std::size_t baseline = current_rss_bytes();
     const auto start = std::chrono::steady_clock::now();
-    const Girg girg = generate_girg(params, kVertexSeed, options);
+    const Girg girg = generate_girg(params, kVertexSeed);
     const auto stop = std::chrono::steady_clock::now();
 
-    std::cout << "RESULT mode=" << mode << " n=" << n
+    std::cout << "RESULT n=" << n
               << " seconds=" << std::chrono::duration<double>(stop - start).count()
               << " edges=" << girg.graph.num_edges()
               << " girg_bytes=" << girg.memory_bytes()
@@ -62,7 +59,6 @@ int run_measure(const std::string& mode, int n, unsigned threads) {
 }
 
 struct Measurement {
-    std::string mode;
     int n = 0;
     double seconds = 0.0;
     std::size_t edges = 0;
@@ -84,9 +80,8 @@ struct Measurement {
 };
 
 /// Parent side of one measurement: re-exec this binary and parse the line.
-bool spawn_measure(const std::string& exe, const std::string& mode, int n,
-                   Measurement& out) {
-    const std::string command = exe + " --measure " + mode + " " + std::to_string(n);
+bool spawn_measure(const std::string& exe, int n, Measurement& out) {
+    const std::string command = exe + " --measure " + std::to_string(n);
     std::FILE* pipe = ::popen(command.c_str(), "r");
     if (pipe == nullptr) {
         std::cerr << "memory sweep: popen failed for: " << command << "\n";
@@ -109,7 +104,6 @@ bool spawn_measure(const std::string& exe, const std::string& mode, int n,
     }
     std::istringstream tokens(output.substr(line_start + 7));
     out = Measurement{};
-    out.mode = mode;
     std::string token;
     while (tokens >> token) {
         const std::size_t eq = token.find('=');
@@ -138,26 +132,12 @@ int run_sweep(const std::string& exe, const std::vector<int>& sizes,
     }
 
     std::vector<Measurement> rows;
-    bool identical = true;
     for (const int n : sizes) {
-        Measurement legacy;
-        Measurement streaming;
-        if (!spawn_measure(exe, "legacy", n, legacy) ||
-            !spawn_measure(exe, "streaming", n, streaming)) {
-            return 1;
-        }
-        if (legacy.fingerprint != streaming.fingerprint || legacy.edges != streaming.edges) {
-            std::cerr << "memory sweep: OUTPUT MISMATCH at n=" << n
-                      << " legacy fp=" << legacy.fingerprint
-                      << " streaming fp=" << streaming.fingerprint << "\n";
-            identical = false;
-        }
-        std::cerr << "memory sweep: n=" << n << " legacy ratio=" << legacy.ratio()
-                  << " streaming ratio=" << streaming.ratio()
-                  << " (peak " << legacy.peak_rss << " -> " << streaming.peak_rss
-                  << " bytes)\n";
-        rows.push_back(legacy);
-        rows.push_back(streaming);
+        Measurement row;
+        if (!spawn_measure(exe, n, row)) return 1;
+        std::cerr << "memory sweep: n=" << n << " ratio=" << row.ratio() << " (peak "
+                  << row.peak_rss << " bytes)\n";
+        rows.push_back(row);
     }
 
     json.field("dim", 2.0);
@@ -165,17 +145,15 @@ int run_sweep(const std::string& exe, const std::vector<int>& sizes,
     json.field("beta", 2.5);
     json.field("wmin", 2.0);
     json.field("vertex_seed", static_cast<double>(kVertexSeed));
-    json.field("measurement",
-               "one child process per (mode, n); peak_rss = ru_maxrss of the child");
+    json.field("measurement", "one child process per n; peak_rss = ru_maxrss of the child");
     json.field("ratio_definition",
                "(peak_rss_bytes - baseline_rss_bytes) / girg_heap_bytes");
-    json.field("identical_output", identical ? "true" : "false");
     std::ostringstream results;
     results << "[\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Measurement& r = rows[i];
-        results << "    {\"n\": " << r.n << ", \"mode\": \"" << r.mode
-                << "\", \"seconds\": " << r.seconds << ", \"edges\": " << r.edges
+        results << "    {\"n\": " << r.n << ", \"seconds\": " << r.seconds
+                << ", \"edges\": " << r.edges
                 << ", \"girg_heap_bytes\": " << r.girg_bytes
                 << ", \"baseline_rss_bytes\": " << r.baseline_rss
                 << ", \"peak_rss_bytes\": " << r.peak_rss
@@ -189,7 +167,7 @@ int run_sweep(const std::string& exe, const std::vector<int>& sizes,
     json.field_raw("results", results.str());
     json.close();
     std::cerr << "memory sweep: wrote " << output_path << "\n";
-    return identical ? 0 : 1;
+    return 0;
 }
 
 /// The parent must re-exec *itself*; /proc/self/exe is exact on Linux,
@@ -213,10 +191,10 @@ int main(int argc, char** argv) {
     using namespace smallworld::bench;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--measure" && i + 2 < argc) {
+        if (arg == "--measure" && i + 1 < argc) {
             const unsigned threads =
-                i + 3 < argc ? static_cast<unsigned>(std::stoul(argv[i + 3])) : 0;
-            return run_measure(argv[i + 1], std::stoi(argv[i + 2]), threads);
+                i + 2 < argc ? static_cast<unsigned>(std::stoul(argv[i + 2])) : 0;
+            return run_measure(std::stoi(argv[i + 1]), threads);
         }
         if (arg == "--smoke") {
             const std::string path =

@@ -6,9 +6,10 @@
 // cell recursion and its parallel task decomposition).
 //
 // `--sweep [output.json] [--smoke]` skips google-benchmark and runs a
-// hand-timed thread sweep of the parallel sampler on a 2^20-vertex instance
-// (2^14 with --smoke, for CI), writing the measurements (per-thread-count
-// seconds, edges/sec, speedup, FNV-1a fingerprint of the edge list) to JSON.
+// hand-timed thread sweep of the parallel sampler (sample_edges_fast_stream,
+// the generator's entry point) on a 2^20-vertex instance (2^14 with --smoke,
+// for CI), writing the measurements (per-thread-count seconds, edges/sec,
+// speedup, FNV-1a fingerprint of the edge sequence) to JSON.
 // The sweep fails when the rows' edge lists differ: a fixed seed must give
 // the same edges at every thread count.
 #include <benchmark/benchmark.h>
@@ -24,6 +25,7 @@
 #include "bench_common.h"
 #include "girg/fast_sampler.h"
 #include "girg/naive_sampler.h"
+#include "graph/edge_stream.h"
 #include "graph/fingerprint.h"
 #include "random/power_law.h"
 
@@ -54,10 +56,10 @@ void sampler_bench(benchmark::State& state, SamplerKind kind, double alpha, int 
     std::uint64_t seed = 23001;
     for (auto _ : state) {
         Rng rng(seed++);
-        const auto sampled =
+        const ChunkedEdgeList sampled =
             kind == SamplerKind::kFast
-                ? sample_edges_fast(params, vertices.weights, vertices.positions, rng)
-                : sample_edges_naive(params, vertices.weights, vertices.positions, rng);
+                ? sample_edges_fast_stream(params, vertices.weights, vertices.positions, rng)
+                : sample_edges_naive_stream(params, vertices.weights, vertices.positions, rng);
         edges = sampled.size();
         benchmark::DoNotOptimize(edges);
     }
@@ -127,14 +129,15 @@ int run_sweep(const std::string& output_path, bool smoke) {
         for (int rep = 0; rep < kReps; ++rep) {
             Rng rng(23001);
             const auto start = std::chrono::steady_clock::now();
-            const auto sampled =
-                sample_edges_fast(params, vertices.weights, vertices.positions, rng);
+            const ChunkedEdgeList sampled =
+                sample_edges_fast_stream(params, vertices.weights, vertices.positions, rng);
             const auto stop = std::chrono::steady_clock::now();
             const double secs = std::chrono::duration<double>(stop - start).count();
             if (rep == 0 || secs < best) best = secs;
             edges = sampled.size();
-            fingerprint = fnv1a_bytes(kFingerprintBasis, sampled.data(),
-                                      sampled.size() * sizeof(Edge));
+            const std::vector<Edge> flat = sampled.to_vector();
+            fingerprint =
+                fnv1a_bytes(kFingerprintBasis, flat.data(), flat.size() * sizeof(Edge));
         }
         rows.push_back({threads, best, edges, fingerprint});
         std::cerr << "sweep: threads=" << threads << " best=" << best << "s edges="

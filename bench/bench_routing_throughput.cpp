@@ -2,18 +2,15 @@
 // benchmark sits on (greedy hops via batched objective argmax, per-target
 // phi memoization, Morton-relabeled CSR locality). google-benchmark
 // registrations cover the steady-state per-router throughput; `--sweep`
-// runs the committed ablation:
+// runs the committed ablation ladder:
 //
-//   {plain labels, Morton labels} x {legacy per-call objective, memoized
-//   batched objective} plus the SIMD ablation ladder on Morton labels:
-//   +SoA scalar kernels, +AVX2 vector kernels, +cohort-shared memo pool
+//   plain labels + production evaluator (the Morton-off baseline), then on
+//   Morton labels: SoA scalar kernels, AVX2 vector kernels, and AVX2 with
+//   the cohort-shared memo pool
 //
 // on the *same physical graph and the same physical (s,t) pairs*, so the
-// measured separation is purely the evaluation pipeline, not the workload.
-// The legacy cell reconstructs the pre-overhaul behavior (one virtual call
-// per neighbor, torus distance + pow every time, no memo); the memoized
-// cell pins PhiEvalMode::kLegacyAos, the pre-SIMD production evaluator. A
-// thread sweep of the per-target parallel pipeline rides along; delivered
+// measured separation is purely labels and evaluation, not the workload.
+// A thread sweep of the per-target parallel pipeline rides along; delivered
 // counts and total hops are asserted identical across every cell and thread
 // count (the kernels are bit-identical, so any mismatch is a bug).
 //
@@ -23,7 +20,6 @@
 
 #include <chrono>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -79,26 +75,6 @@ void register_all() {
 }
 
 // ------------------------------------------------------------------ --sweep
-
-/// Pre-overhaul objective: one virtual call per neighbor, each recomputing
-/// torus distance and the power from scratch, no memoization, default
-/// (virtual-per-vertex) best_of. Kept here so the committed baseline stays
-/// measurable after the production path moved on.
-class LegacyGirgObjective final : public Objective {
-public:
-    LegacyGirgObjective(const Girg& girg, Vertex target)
-        : girg_(&girg), target_(target) {}
-
-    [[nodiscard]] double value(Vertex v) const override {
-        if (v == target_) return std::numeric_limits<double>::infinity();
-        return girg_->objective(v, girg_->position(target_));
-    }
-    [[nodiscard]] Vertex target() const override { return target_; }
-
-private:
-    const Girg* girg_;
-    Vertex target_;
-};
 
 struct SweepWorkload {
     const Girg* girg = nullptr;
@@ -207,24 +183,14 @@ int run_sweep(const std::string& output_path, bool smoke) {
     const SweepWorkload relabeled_workload =
         relabel_workload(plain_workload, relabeled, new_ids);
 
-    const auto make_legacy = [](const Girg& girg, Vertex target) {
-        return std::make_unique<LegacyGirgObjective>(girg, target);
-    };
-    // The pre-SIMD production evaluator (memoized, batched, AoS reads,
-    // per-call norm branch) — the baseline the acceptance speedup is judged
-    // against.
-    const auto make_memoized = [](const Girg& girg, Vertex target) {
-        PhiOptions options;
-        options.mode = PhiEvalMode::kLegacyAos;
-        return std::make_unique<GirgObjective>(girg, target, options);
-    };
     const auto make_soa = [](const Girg& girg, Vertex target) {
         PhiOptions options;
         options.mode = PhiEvalMode::kScalar;
         return std::make_unique<GirgObjective>(girg, target, options);
     };
-    // kAuto: AVX2 kernels when the host supports them, SoA scalar otherwise
-    // (simd_active in the JSON records which one actually ran).
+    // kAuto, the production evaluator: AVX2 kernels when the host supports
+    // them, SoA scalar otherwise (simd_active in the JSON records which one
+    // actually ran).
     const auto make_simd = [](const Girg& girg, Vertex target) {
         return std::make_unique<GirgObjective>(girg, target);
     };
@@ -234,7 +200,7 @@ int run_sweep(const std::string& output_path, bool smoke) {
         options.pool = cohort_pool;
         return std::make_unique<GirgObjective>(girg, target, options);
     };
-    // Single-thread ablation: the acceptance speedup must come from cache
+    // Single-thread ablation: the ladder's speedups must come from cache
     // locality + the vectorized evaluation pipeline, not from core count.
     // Every cell routes with GreedyRouter, which prefetches the next hop's
     // row unconditionally.
@@ -244,11 +210,7 @@ int run_sweep(const std::string& output_path, bool smoke) {
     };
     std::vector<Cell> cells;
     std::cerr << "sweep: single-thread ablation...\n";
-    cells.push_back({"plain_legacy", run_cell(plain_workload, make_legacy, kReps, 1)});
-    cells.push_back({"plain_memoized", run_cell(plain_workload, make_memoized, kReps, 1)});
-    cells.push_back({"relabeled_legacy", run_cell(relabeled_workload, make_legacy, kReps, 1)});
-    cells.push_back(
-        {"relabeled_memoized", run_cell(relabeled_workload, make_memoized, kReps, 1)});
+    cells.push_back({"plain_simd", run_cell(plain_workload, make_simd, kReps, 1)});
     cells.push_back({"relabeled_soa", run_cell(relabeled_workload, make_soa, kReps, 1)});
     cells.push_back({"relabeled_simd", run_cell(relabeled_workload, make_simd, kReps, 1)});
     cells.push_back(
@@ -266,7 +228,7 @@ int run_sweep(const std::string& output_path, bool smoke) {
         if (cell.result.delivered != cells.front().result.delivered ||
             cell.result.hops != cells.front().result.hops) {
             std::cerr << "sweep: FATAL: " << cell.name
-                      << " disagrees with plain_legacy on routing outcomes\n";
+                      << " disagrees with plain_simd on routing outcomes\n";
             return 1;
         }
     }
@@ -301,8 +263,9 @@ int run_sweep(const std::string& output_path, bool smoke) {
         }
         return 0.0;
     };
-    const double base_rate = rate_of("plain_legacy");
-    const double memoized_rate = rate_of("relabeled_memoized");
+    const double base_rate = rate_of("plain_simd");
+    const double soa_rate = rate_of("relabeled_soa");
+    const double simd_rate = rate_of("relabeled_simd");
     const double best_rate = rate_of("relabeled_simd_cohort");
 
     json.field("smoke", smoke ? 1.0 : 0.0);
@@ -329,15 +292,15 @@ int run_sweep(const std::string& output_path, bool smoke) {
         ablation << "    {\"cell\": \"" << cells[i].name << "\", \"seconds\": "
                  << r.seconds << ", \"pairs_per_sec\": " << rate
                  << ", \"hops_per_sec\": " << static_cast<double>(r.hops) / r.seconds
-                 << ", \"speedup_vs_plain_legacy\": " << rate / base_rate << "}"
+                 << ", \"speedup_vs_plain_simd\": " << rate / base_rate << "}"
                  << (i + 1 < cells.size() ? "," : "") << "\n";
     }
     ablation << "  ]";
     json.field_raw("single_thread_ablation", ablation.str());
     json.field("single_thread_speedup", best_rate / base_rate);
-    // The PR-7 acceptance ratio: full SIMD+cohort configuration
-    // against the pre-SIMD memoized production path, same labels, same pairs.
-    json.field("simd_cohort_speedup_vs_relabeled_memoized", best_rate / memoized_rate);
+    // The kernel ablation alone: AVX2 against SoA scalar, same labels, same
+    // pairs.
+    json.field("simd_speedup_vs_relabeled_soa", simd_rate / soa_rate);
 
     std::ostringstream threads_json;
     threads_json << "[\n";

@@ -64,7 +64,7 @@ public:
 /// neighbor.
 class GirgObjective final : public Objective {
 public:
-    /// `options` selects the evaluator kernel (scalar/SIMD/legacy) and an
+    /// `options` selects the evaluator kernel (scalar or SIMD) and an
     /// optional cohort-shared memo pool; the default auto-dispatches.
     GirgObjective(const Girg& girg, Vertex target, const PhiOptions& options = {});
 

@@ -34,18 +34,11 @@ namespace smallworld {
 /// The recursion is executed in parallel on params.threads workers (0 = all
 /// hardware threads): the layer pairs are cut into per-cell-pair tasks, and
 /// every task draws from its own stream counter-seeded by the task index
-/// (see RngStreams). Task buffers are concatenated in task order, so a
-/// fixed seed yields a byte-identical edge list at any thread count.
-[[nodiscard]] std::vector<Edge> sample_edges_fast(const GirgParams& params,
-                                                  const std::vector<double>& weights,
-                                                  const PointCloud& positions, Rng& rng);
-
-/// Streaming variant: identical algorithm and RNG consumption, but every
-/// task emits into a ChunkedEdgeSink and the per-task chunk sequences are
-/// spliced in task order — `result.to_vector()` equals the vector returned
-/// by sample_edges_fast for the same seed at any thread count. When
-/// `relabel` is non-null, endpoints are remapped through it at emission
-/// (fused Morton relabeling; relabel[v] must be a permutation of [0, n)).
+/// (see RngStreams) and emits into its own ChunkedEdgeSink. The per-task
+/// chunk sequences are spliced in task order, so a fixed seed yields a
+/// byte-identical edge sequence at any thread count. When `relabel` is
+/// non-null, endpoints are remapped through it at emission (fused Morton
+/// relabeling; relabel[v] must be a permutation of [0, n)).
 [[nodiscard]] ChunkedEdgeList sample_edges_fast_stream(const GirgParams& params,
                                                        const std::vector<double>& weights,
                                                        const PointCloud& positions, Rng& rng,

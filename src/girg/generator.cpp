@@ -13,21 +13,6 @@
 
 namespace smallworld {
 
-namespace {
-
-std::vector<Edge> sample_edges(const GirgParams& params, const std::vector<double>& weights,
-                               const PointCloud& positions, Rng& rng, SamplerKind kind) {
-    switch (kind) {
-        case SamplerKind::kFast:
-            return sample_edges_fast(params, weights, positions, rng);
-        case SamplerKind::kNaive:
-            return sample_edges_naive(params, weights, positions, rng);
-    }
-    throw std::logic_error("sample_edges: unknown sampler kind");
-}
-
-}  // namespace
-
 namespace detail {
 
 ChunkedEdgeList sample_edges_stream(const GirgParams& params,
@@ -81,8 +66,7 @@ PageVector<Vertex> sample_attributes(const GirgParams& params, const GenerateOpt
     // consumes no randomness, so it can be computed *before* edge sampling;
     // the samplers still read attributes in original id order (their output
     // depends on vertex order), and the permutation is applied to the
-    // attributes afterwards — or, on the streaming path, to each edge as it
-    // is emitted.
+    // attributes afterwards and to each edge as it is emitted.
     const bool relabel = options.morton_relabel && options.weights.empty();
     PageVector<Vertex> new_ids;
     if (relabel) {
@@ -103,21 +87,15 @@ Girg generate_girg(const GirgParams& params, std::uint64_t seed,
     PageVector<Vertex> new_ids = detail::sample_attributes(params, options, rng, girg);
     const bool relabel = !new_ids.empty();
 
-    if (options.streaming_csr) {
-        ChunkedEdgeList edges =
-            detail::sample_edges_stream(params, girg.weights, girg.positions, rng,
-                                        options.sampler, relabel ? new_ids.data() : nullptr);
-        if (relabel) apply_relabeling(new_ids, girg.weights, girg.positions);
-        // The permutation is fully applied; unmap it before the CSR build so
-        // it does not sit in the peak-memory window. (swap, not `= {}`: the
-        // initializer-list assignment keeps the old capacity allocated.)
-        PageVector<Vertex>().swap(new_ids);
-        girg.graph = Graph(girg.num_vertices(), std::move(edges), params.threads);
-    } else {
-        auto edges = sample_edges(params, girg.weights, girg.positions, rng, options.sampler);
-        if (relabel) apply_relabeling(new_ids, girg.weights, girg.positions, edges);
-        girg.graph = Graph(girg.num_vertices(), edges);
-    }
+    ChunkedEdgeList edges =
+        detail::sample_edges_stream(params, girg.weights, girg.positions, rng, options.sampler,
+                                    relabel ? new_ids.data() : nullptr);
+    if (relabel) apply_relabeling(new_ids, girg.weights, girg.positions);
+    // The permutation is fully applied; unmap it before the CSR build so it
+    // does not sit in the peak-memory window. (swap, not `= {}`: the
+    // initializer-list assignment keeps the old capacity allocated.)
+    PageVector<Vertex>().swap(new_ids);
+    girg.graph = Graph(girg.num_vertices(), std::move(edges), params.threads);
     return girg;
 }
 

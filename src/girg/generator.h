@@ -43,17 +43,13 @@ struct GenerateOptions {
     /// appended-at-the-end ids; ignored when `weights` is supplied (the
     /// caller pinned per-index attributes).
     bool morton_relabel = true;
-    /// Stream sampled edges through chunked sinks straight into the CSR
-    /// build (graph/edge_stream.h), with the Morton relabeling fused into
-    /// edge emission — the contiguous intermediate edge list never exists
-    /// and generation peak memory drops to ~1.3x the final graph. Output is
-    /// byte-identical to the buffered path at any thread count; the flag
-    /// exists so tests and the memory bench can run both pipelines.
-    bool streaming_csr = true;
 };
 
 /// Samples a complete GIRG: vertex set (Poisson point process of intensity
-/// params.n), weights (power law), and edges (chosen sampler).
+/// params.n), weights (power law), and edges (chosen sampler). Sampled edges
+/// stream through chunked sinks straight into the CSR build
+/// (graph/edge_stream.h), with the Morton relabeling fused into edge
+/// emission, so no contiguous intermediate edge list ever exists.
 [[nodiscard]] Girg generate_girg(const GirgParams& params, std::uint64_t seed,
                                  const GenerateOptions& options = {});
 

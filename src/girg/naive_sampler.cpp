@@ -10,42 +10,22 @@
 
 namespace smallworld {
 
-namespace {
-
-template <typename Emit>
-void sample_pairs(const GirgParams& params, const std::vector<double>& weights,
-                  const PointCloud& positions, Rng& rng, Emit&& emit) {
+ChunkedEdgeList sample_edges_naive_stream(const GirgParams& params,
+                                          const std::vector<double>& weights,
+                                          const PointCloud& positions, Rng& rng,
+                                          const Vertex* relabel) {
     GIRG_CHECK(weights.size() == positions.count(), "weights ", weights.size(),
                " vs positions ", positions.count());
     GIRG_CHECK(positions.dim == params.dim, "dim mismatch");
+    ChunkedEdgeSink sink(std::make_shared<EdgeArena>(), relabel);
     const auto n = static_cast<Vertex>(weights.size());
     for (Vertex u = 0; u < n; ++u) {
         for (Vertex v = u + 1; v < n; ++v) {
             const double p = girg_edge_probability(params, weights[u], weights[v],
                                                    positions.point(u), positions.point(v));
-            if (rng.bernoulli(p)) emit(u, v);
+            if (rng.bernoulli(p)) sink.emit(u, v);
         }
     }
-}
-
-}  // namespace
-
-std::vector<Edge> sample_edges_naive(const GirgParams& params,
-                                     const std::vector<double>& weights,
-                                     const PointCloud& positions, Rng& rng) {
-    std::vector<Edge> edges;
-    sample_pairs(params, weights, positions, rng,
-                 [&](Vertex u, Vertex v) { edges.emplace_back(u, v); });
-    return edges;
-}
-
-ChunkedEdgeList sample_edges_naive_stream(const GirgParams& params,
-                                          const std::vector<double>& weights,
-                                          const PointCloud& positions, Rng& rng,
-                                          const Vertex* relabel) {
-    ChunkedEdgeSink sink(std::make_shared<EdgeArena>(), relabel);
-    sample_pairs(params, weights, positions, rng,
-                 [&](Vertex u, Vertex v) { sink.emit(u, v); });
     return sink.take();
 }
 

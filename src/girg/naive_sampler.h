@@ -8,15 +8,10 @@
 namespace smallworld {
 
 /// Reference edge sampler: flips an independent coin for every vertex pair
-/// with the exact kernel probability. O(n^2) — used as ground truth for the
-/// fast sampler's distributional tests and for small experiments.
-[[nodiscard]] std::vector<Edge> sample_edges_naive(const GirgParams& params,
-                                                   const std::vector<double>& weights,
-                                                   const PointCloud& positions, Rng& rng);
-
-/// Streaming variant with the same coin-flip sequence; endpoints are
-/// remapped through `relabel` at emission when it is non-null. Exists so
-/// every SamplerKind feeds the CSR-direct Graph build (see generator.cpp).
+/// with the exact kernel probability, in (u, v) order with u < v. O(n^2) —
+/// used as ground truth for the fast sampler's distributional tests and for
+/// small experiments. Endpoints are remapped through `relabel` at emission
+/// when it is non-null.
 [[nodiscard]] ChunkedEdgeList sample_edges_naive_stream(const GirgParams& params,
                                                         const std::vector<double>& weights,
                                                         const PointCloud& positions, Rng& rng,

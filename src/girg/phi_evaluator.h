@@ -25,11 +25,9 @@ struct BestNeighbor {
 /// best_of choices, and therefore RoutingResults — asserted by
 /// tests/phi_simd_test.cpp and per bench cell.
 enum class PhiEvalMode {
-    kAuto,       ///< AVX2 kernels when phi_simd_available(), scalar otherwise
-    kScalar,     ///< SoA scalar kernels, (norm, dim) dispatch hoisted to ctor
-    kSimd,       ///< AVX2 kernels; construction aborts if the path cannot run
-    kLegacyAos,  ///< pre-SIMD shape (AoS reads, per-call norm branch, no bulk
-                 ///< path) — kept measurable as the bench baseline
+    kAuto,    ///< AVX2 kernels when phi_simd_available(), scalar otherwise
+    kScalar,  ///< SoA scalar kernels, (norm, dim) dispatch hoisted to ctor
+    kSimd,    ///< AVX2 kernels; construction aborts if the path cannot run
 };
 
 /// Construction-time evaluator options, threaded through the objective
@@ -50,10 +48,9 @@ struct PhiOptions {
 ///
 /// bound to one target. This is the hot-path kernel behind GirgObjective and
 /// its derived objectives. Construction binds one kernel family (see
-/// PhiEvalMode): the SoA modes read the Girg's cache-aligned attribute
-/// planes (shared read-only across evaluators via Girg::phi_soa()) through
-/// (norm, dim)-templated kernels — vectorized 8-wide under AVX2 — while the
-/// legacy mode reproduces the pre-SIMD AoS evaluator exactly. All modes are
+/// PhiEvalMode); both read the Girg's cache-aligned attribute planes (shared
+/// read-only across evaluators via Girg::phi_soa()) through (norm,
+/// dim)-templated kernels, vectorized 8-wide under AVX2. Both are
 /// bit-identical to Girg::objective(v, position(target)): the division
 /// groups as weights[v] / ((wmin * n) * dist^d) with wmin * n precomputed,
 /// which is exactly the expression the original evaluated.
@@ -71,32 +68,23 @@ public:
         if (mode == PhiEvalMode::kAuto) {
             mode = phi_simd_available() ? PhiEvalMode::kSimd : PhiEvalMode::kScalar;
         }
-        ctx_.weights = girg.weights.data();
-        ctx_.aos_coords = girg.positions.coords.data();
+        GIRG_CHECK(mode != PhiEvalMode::kSimd || phi_simd_available(),
+                   "PhiEvalMode::kSimd requested but the AVX2 path cannot run");
+        soa_ = girg.phi_soa();
+        ctx_.weights = soa_->weight_plane();
         ctx_.wn = girg.params.wmin * girg.params.n;
         ctx_.dim = girg.params.dim;
-        ctx_.norm = girg.params.norm;
         ctx_.target = target;
         const double* t = girg.position(target);
-        for (int axis = 0; axis < ctx_.dim; ++axis) ctx_.target_position[axis] = t[axis];
-
-        PhiKernel kernel = PhiKernel::kLegacy;
-        if (mode != PhiEvalMode::kLegacyAos) {
-            GIRG_CHECK(mode != PhiEvalMode::kSimd || phi_simd_available(),
-                       "PhiEvalMode::kSimd requested but the AVX2 path cannot run");
-            soa_ = girg.phi_soa();
-            ctx_.weights = soa_->weight_plane();
-            for (int axis = 0; axis < ctx_.dim; ++axis) {
-                ctx_.axes[axis] = soa_->axis_plane(axis);
-            }
-            kernel = mode == PhiEvalMode::kSimd ? PhiKernel::kAvx2 : PhiKernel::kScalar;
+        for (int axis = 0; axis < ctx_.dim; ++axis) {
+            ctx_.axes[axis] = soa_->axis_plane(axis);
+            ctx_.target_position[axis] = t[axis];
         }
-        ops_ = &phi_kernel_ops(ctx_.norm, ctx_.dim, kernel);
+        ops_ = &phi_kernel_ops(girg.params.norm, ctx_.dim,
+                               mode == PhiEvalMode::kSimd ? PhiKernel::kAvx2 : PhiKernel::kScalar);
         // Single-vertex probes always run the scalar compute; identical bits
         // to the vector lanes by the kernel contract.
-        compute_ = phi_compute_fn(ctx_.norm, ctx_.dim,
-                                  kernel == PhiKernel::kLegacy ? PhiKernel::kLegacy
-                                                               : PhiKernel::kScalar);
+        compute_ = phi_compute_fn(girg.params.norm, ctx_.dim);
         table_ = pool_ != nullptr ? pool_->acquire(n) : std::make_unique<PhiMemoTable>(n);
         ctx_.memo = table_->data();
         ctx_.touched = table_->touched();

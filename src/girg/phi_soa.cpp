@@ -32,23 +32,8 @@ PhiSoA::PhiSoA(std::span<const double> weights, const PointCloud& positions)
 
 namespace {
 
-using detail::kPhiInf;
 using detail::phi_compute_lane;
 using detail::phi_probe_or_compute;
-
-/// Pre-overhaul compute shape: AoS coordinate reads and a per-call norm
-/// branch. Kept callable so the bench's `relabeled_memoized` baseline cell
-/// measures exactly the code this PR replaced.
-double phi_compute_legacy(const PhiKernelCtx& ctx, Vertex v) noexcept {
-    if (v == ctx.target) return kPhiInf;
-    const double* x =
-        ctx.aos_coords + static_cast<std::size_t>(v) * static_cast<std::size_t>(ctx.dim);
-    const double dist = torus_distance(x, ctx.target_position, ctx.dim, ctx.norm);
-    double dist_pow_d = dist;
-    for (int i = 1; i < ctx.dim; ++i) dist_pow_d *= dist;
-    if (dist_pow_d == 0.0) return kPhiInf;
-    return ctx.weights[v] / (ctx.wn * dist_pow_d);
-}
 
 template <Norm N, int D>
 void phi_values_scalar(const PhiKernelCtx& ctx, const Vertex* vs, std::size_t count,
@@ -85,25 +70,6 @@ PhiBestLane phi_best_scalar(const PhiKernelCtx& ctx, const Vertex* vs, std::size
     return best;
 }
 
-void phi_values_legacy(const PhiKernelCtx& ctx, const Vertex* vs, std::size_t count,
-                       double* out) {
-    for (std::size_t i = 0; i < count; ++i) {
-        out[i] = phi_probe_or_compute<phi_compute_legacy>(ctx, vs[i]);
-    }
-}
-
-PhiBestLane phi_best_legacy(const PhiKernelCtx& ctx, const Vertex* vs, std::size_t count) {
-    PhiBestLane best;
-    for (std::size_t i = 0; i < count; ++i) {
-        const double value = phi_probe_or_compute<phi_compute_legacy>(ctx, vs[i]);
-        if (best.index == PhiBestLane::kNone || value > best.value) {
-            best.index = i;
-            best.value = value;
-        }
-    }
-    return best;
-}
-
 template <Norm N, int D>
 constexpr PhiKernelOps kScalarOpsFor{phi_values_scalar<N, D>, phi_best_scalar<N, D>};
 
@@ -121,31 +87,22 @@ constexpr PhiComputeFn kScalarCompute[2][kMaxDim] = {
      phi_compute_lane<Norm::kEuclidean, 3>, phi_compute_lane<Norm::kEuclidean, 4>},
 };
 
-constexpr PhiKernelOps kLegacyOps{phi_values_legacy, phi_best_legacy};
-
 [[nodiscard]] int norm_row(Norm norm) noexcept { return norm == Norm::kMax ? 0 : 1; }
 
 }  // namespace
 
 const PhiKernelOps& phi_kernel_ops(Norm norm, int dim, PhiKernel kernel) {
     GIRG_CHECK(dim >= 1 && dim <= kMaxDim, "phi kernel dim=", dim);
-    switch (kernel) {
-        case PhiKernel::kLegacy:
-            return kLegacyOps;
-        case PhiKernel::kAvx2: {
-            const PhiKernelOps* ops = detail::phi_avx2_ops(norm, dim);
-            GIRG_CHECK(ops != nullptr, "AVX2 phi kernels requested but not compiled in");
-            return *ops;
-        }
-        case PhiKernel::kScalar:
-            break;
+    if (kernel == PhiKernel::kAvx2) {
+        const PhiKernelOps* ops = detail::phi_avx2_ops(norm, dim);
+        GIRG_CHECK(ops != nullptr, "AVX2 phi kernels requested but not compiled in");
+        return *ops;
     }
     return kScalarOps[norm_row(norm)][dim - 1];
 }
 
-PhiComputeFn phi_compute_fn(Norm norm, int dim, PhiKernel kernel) {
+PhiComputeFn phi_compute_fn(Norm norm, int dim) {
     GIRG_CHECK(dim >= 1 && dim <= kMaxDim, "phi kernel dim=", dim);
-    if (kernel == PhiKernel::kLegacy) return phi_compute_legacy;
     return kScalarCompute[norm_row(norm)][dim - 1];
 }
 

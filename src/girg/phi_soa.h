@@ -66,18 +66,16 @@ private:
 };
 
 /// Everything a phi kernel needs, flattened to POD so the per-call path has
-/// no pointer chasing through evaluator internals: the attribute planes (SoA
-/// kernels) or the original AoS arrays (legacy kernel), the target, and the
-/// memo table plus its writeback log. Kernels may write through memo/touched
-/// but never resize them; every memo write must also append to touched.
+/// no pointer chasing through evaluator internals: the attribute planes, the
+/// target, and the memo table plus its writeback log. Kernels may write
+/// through memo/touched but never resize them; every memo write must also
+/// append to touched.
 struct PhiKernelCtx {
-    const double* weights = nullptr;         // weight plane (SoA) or AoS weights
-    const double* axes[kMaxDim] = {};        // SoA coordinate planes; unused in legacy mode
-    const double* aos_coords = nullptr;      // flat AoS coordinates; legacy mode only
+    const double* weights = nullptr;         // weight plane
+    const double* axes[kMaxDim] = {};        // coordinate planes
     double target_position[kMaxDim] = {};
     double wn = 0.0;                         // wmin * n, the grouping Girg::objective uses
     int dim = 1;
-    Norm norm = Norm::kMax;                  // consulted by the legacy kernel only
     Vertex target = kNoVertex;
     double* memo = nullptr;                  // NaN-sentinel table of size n
     std::vector<Vertex>* touched = nullptr;  // memo writeback log (reset contract)
@@ -105,16 +103,15 @@ struct PhiKernelOps {
 enum class PhiKernel {
     kScalar,  ///< SoA planes, (norm, dim) dispatch hoisted into the template
     kAvx2,    ///< 8-wide vectorized SoA kernels; bit-identical to kScalar
-    kLegacy,  ///< pre-SIMD shape: AoS reads, per-call norm branch, no bulk path
 };
 
-/// Batched kernels for (norm, dim, family). kScalar and kLegacy always
-/// exist; kAvx2 aborts via GIRG_CHECK when the AVX2 TU was compiled out.
+/// Batched kernels for (norm, dim, family). kScalar always exists; kAvx2
+/// aborts via GIRG_CHECK when the AVX2 TU was compiled out.
 [[nodiscard]] const PhiKernelOps& phi_kernel_ops(Norm norm, int dim, PhiKernel kernel);
 
-/// Single-vertex compute for (norm, dim). The vector path also uses the
-/// scalar compute for single probes — identical bits by the kernel contract.
-[[nodiscard]] PhiComputeFn phi_compute_fn(Norm norm, int dim, PhiKernel kernel);
+/// Single-vertex scalar compute for (norm, dim). The vector path uses it for
+/// single probes too — identical bits by the kernel contract.
+[[nodiscard]] PhiComputeFn phi_compute_fn(Norm norm, int dim);
 
 /// True when the AVX2 TU was compiled with vector support.
 [[nodiscard]] bool phi_simd_compiled() noexcept;

@@ -97,15 +97,6 @@ void apply_relabeling(std::span<const Vertex> new_ids, std::vector<double>& weig
     }
 }
 
-void apply_relabeling(std::span<const Vertex> new_ids, std::vector<double>& weights,
-                      PointCloud& positions, std::vector<Edge>& edges) {
-    apply_relabeling(new_ids, weights, positions);
-    for (Edge& edge : edges) {
-        edge.first = new_ids[edge.first];
-        edge.second = new_ids[edge.second];
-    }
-}
-
 void morton_relabel(Girg& girg, std::size_t movable_prefix) {
     const std::size_t n = girg.num_vertices();
     if (movable_prefix > n) movable_prefix = n;

@@ -34,15 +34,11 @@ namespace smallworld {
 
 /// Applies `new_ids` in place to per-vertex attributes only — a
 /// cycle-following permutation, so the transient footprint is one bit per
-/// vertex, not a second copy of the attributes. The streaming pipeline uses
-/// this together with endpoint remapping *at emission* (the relabel pointer
-/// of ChunkedEdgeSink), so no edge-rewrite pass exists.
+/// vertex, not a second copy of the attributes. Edge endpoints are remapped
+/// *at emission* instead (the relabel pointer of ChunkedEdgeSink), so no
+/// edge-rewrite pass exists.
 void apply_relabeling(std::span<const Vertex> new_ids, std::vector<double>& weights,
                       PointCloud& positions);
-
-/// Applies `new_ids` in place to per-vertex attributes and edge endpoints.
-void apply_relabeling(std::span<const Vertex> new_ids, std::vector<double>& weights,
-                      PointCloud& positions, std::vector<Edge>& edges);
 
 /// Relabels a fully-built Girg in place (attributes, edges, CSR rebuild).
 /// `movable_prefix` defaults to all vertices; pass n - planted to preserve

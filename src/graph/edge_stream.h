@@ -13,16 +13,15 @@
 
 namespace smallworld {
 
-/// Chunked edge storage for the streaming generation pipeline.
+/// Chunked edge storage for the generation pipeline.
 ///
-/// The legacy path materializes every sampled edge in one contiguous
-/// `std::vector<Edge>` before the CSR build, so peak memory during
-/// generation is the edge list *plus* the adjacency array (plus vector
-/// doubling slack). The types here replace that buffer with a stream of
-/// bounded chunks that (a) never reallocate-copy while the samplers emit,
-/// and (b) can be returned to the OS one by one while the CSR scatter pass
-/// consumes them — so the edge storage and the adjacency array never fully
-/// coexist.
+/// Materializing every sampled edge in one contiguous `std::vector<Edge>`
+/// before the CSR build would make peak memory during generation the edge
+/// list *plus* the adjacency array (plus vector doubling slack). The types
+/// here hold the edges as a stream of bounded chunks instead, which (a)
+/// never reallocate-copy while the samplers emit, and (b) can be returned
+/// to the OS one by one while the CSR scatter pass consumes them — so the
+/// edge storage and the adjacency array never fully coexist.
 ///
 /// Layout: chunks are bump-allocated from large mmap'd *slabs* (EdgeArena),
 /// one bump lane per thread. Each producer task owns a ChunkedEdgeSink whose
@@ -34,10 +33,9 @@ namespace smallworld {
 /// (1 MiB) is what makes the release real RSS, not just allocator-internal
 /// free lists.
 ///
-/// Determinism: a chunk sequence spliced in task order replays the exact
-/// edge order of the legacy per-task-buffer concatenation, so the streaming
-/// pipeline inherits the samplers' byte-identical-at-any-thread-count
-/// guarantee.
+/// Determinism: the samplers splice their per-task chunk sequences in task
+/// order, so the stream's edge order is a function of the seed alone and
+/// the pipeline is byte-identical at any thread count.
 
 namespace detail {
 [[nodiscard]] std::byte* map_pages(std::size_t bytes);

@@ -25,85 +25,24 @@ constexpr std::size_t kBlockSize = 8192;
 }  // namespace
 
 Graph::Graph(Vertex num_vertices, std::span<const Edge> edges, unsigned threads) {
-    // The parallel build only pays off once the atomics and the fork are
-    // amortized over enough work; below the threshold (or when the caller
-    // pins threads = 1) run the classic serial two-pass construction.
-    const bool parallel =
-        threads != 1 && (threads > 1 || edges.size() >= 2 * kBlockSize ||
-                         num_vertices >= 2 * kBlockSize);
-
-    if (!parallel) {
-        offsets_.assign(static_cast<std::size_t>(num_vertices) + 1, 0);
-
-        // Count half-edges per vertex (skipping self-loops), prefix-sum into
-        // offsets, then scatter; classic two-pass CSR construction.
-        for (const auto& [u, v] : edges) {
-            GIRG_CHECK(u < num_vertices && v < num_vertices, "edge (", u, ",", v,
-                       ") out of range for n=", num_vertices);
-            if (u == v) continue;
-            ++offsets_[u + 1];
-            ++offsets_[v + 1];
-        }
-        for (std::size_t i = 1; i < offsets_.size(); ++i) offsets_[i] += offsets_[i - 1];
-
-        adjacency_.resize(offsets_.back());
-        std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
-        for (const auto& [u, v] : edges) {
-            if (u == v) continue;
-            adjacency_[cursor[u]++] = v;
-            adjacency_[cursor[v]++] = u;
-        }
-
-        // Sort each adjacency list and drop duplicates (parallel edges).
-        bool had_duplicates = false;
-        for (Vertex v = 0; v < num_vertices; ++v) {
-            auto begin = adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets_[v]);
-            auto end = adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets_[v + 1]);
-            std::sort(begin, end);
-            if (std::adjacent_find(begin, end) != end) had_duplicates = true;
-        }
-        if (had_duplicates) {
-            std::vector<std::size_t> new_offsets(offsets_.size(), 0);
-            AdjacencyVector compact;
-            compact.reserve(adjacency_.size());
-            for (Vertex v = 0; v < num_vertices; ++v) {
-                const auto begin =
-                    adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets_[v]);
-                const auto end =
-                    adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets_[v + 1]);
-                Vertex last = kNoVertex;
-                for (auto it = begin; it != end; ++it) {
-                    if (*it != last) compact.push_back(*it);
-                    last = *it;
-                }
-                new_offsets[v + 1] = compact.size();
-            }
-            offsets_ = std::move(new_offsets);
-            adjacency_ = std::move(compact);
-        }
-        GIRG_CHECK(offsets_.front() == 0 && offsets_.back() == adjacency_.size(),
-                   "CSR invariant broken after serial build");
-        return;
-    }
-
-    // Parallel build: atomic degree count, serial prefix sum, atomic-cursor
-    // scatter, then chunked per-vertex sort/dedup (graph/row_build.h). The
-    // scatter writes each list in a nondeterministic order, but sorting
-    // normalizes it — and duplicates are equal values — so the final CSR is
-    // byte-identical to the serial build for any thread count.
+    // The row passes over fixed-size blocks of the span: atomic degree
+    // count, serial prefix sum, atomic-cursor scatter, then chunked per-row
+    // sort/dedup (graph/row_build.h). The scatter writes each row in a
+    // nondeterministic order, but sorting normalizes it — and duplicates are
+    // equal values — so the CSR is byte-identical at any thread count, and
+    // threads = 1 runs the same passes inline.
     //
     // Counts and cursors live *inside* offsets_, so no n-sized scratch
     // array exists — at 2^22 vertices that scratch would cost as much as
     // the offsets array itself.
-    const std::size_t edge_blocks = block_count(edges.size());
     const auto for_each_block = [&](std::size_t block, auto&& fn) {
         const std::size_t begin = block * kBlockSize;
         const std::size_t end = std::min(begin + kBlockSize, edges.size());
         for (std::size_t i = begin; i < end; ++i) fn(edges[i]);
     };
-    build_csr(num_vertices, threads, edge_blocks, for_each_block, for_each_block);
+    build_csr(num_vertices, threads, block_count(edges.size()), for_each_block, for_each_block);
     GIRG_CHECK(offsets_.front() == 0 && offsets_.back() == adjacency_.size(),
-               "CSR invariant broken after parallel build");
+               "CSR invariant broken after span build");
 }
 
 Graph::Graph(Vertex num_vertices, ChunkedEdgeList&& edges, unsigned threads) {
@@ -113,8 +52,8 @@ Graph::Graph(Vertex num_vertices, ChunkedEdgeList&& edges, unsigned threads) {
     // the CSR silently; fail loudly instead.
     GIRG_CHECK(edges.chunk_sizes_consistent(),
                "chunk totals mismatch: list size ", edges.size());
-    // Streaming CSR-direct build. Same passes as the parallel span build,
-    // but they iterate the chunk stream instead of a contiguous array, and
+    // Streaming CSR-direct build. Same passes as the span build, but they
+    // iterate the chunk stream instead of a contiguous array, and
     // the scatter pass retires each chunk right after draining it — edge
     // storage shrinks chunk by chunk while the adjacency array grows, so the
     // two never fully coexist and peak memory stays near max(edges,

@@ -57,13 +57,12 @@ public:
     /// parallel edges are collapsed (the model never produces either, but
     /// test inputs might).
     ///
-    /// `threads` selects the construction strategy: 1 forces the serial
-    /// two-pass build, 0 picks automatically (parallel once the edge list is
-    /// large enough to amortize the fork), any other value runs the parallel
-    /// build with that many workers. Both paths produce byte-identical
-    /// offsets and adjacency: the scatter order differs across threads, but
-    /// every list is then sorted, and duplicates are equal values, so the
-    /// sorted/deduped result is a pure function of the edge multiset.
+    /// The row passes of graph/row_build.h run over blocks of the list on up
+    /// to `threads` workers (0 = all hardware threads); one worker, or a
+    /// single block, runs them inline on the calling thread. The result is
+    /// byte-identical at any thread count: the scatter order differs, but
+    /// every row is then sorted, and duplicates are equal values, so the
+    /// sorted/deduped CSR is a pure function of the edge multiset.
     Graph(Vertex num_vertices, std::span<const Edge> edges, unsigned threads = 0);
 
     /// CSR-direct construction from a chunked edge stream (see
@@ -91,24 +90,6 @@ public:
     }
     [[nodiscard]] bool has_edge(Vertex u, Vertex v) const noexcept;
 
-    /// Software-prefetches the leading cache lines of v's adjacency row —
-    /// walk loops call this on the chosen next hop so the row is (at least
-    /// partially) resident when its scan begins. A hint only: no observable
-    /// effect besides timing. Capped at 4 lines; longer rows are scanned
-    /// front to back anyway, and the hardware prefetcher takes over.
-    void prefetch_neighbors(Vertex v) const noexcept {
-        GIRG_DCHECK(v < num_vertices(), "prefetch_neighbors(", v, ") with n=", num_vertices());
-        const std::size_t begin = offsets_[v];
-        const std::size_t degree_v = offsets_[v + 1] - begin;
-        constexpr std::size_t kVerticesPerLine = 64 / sizeof(Vertex);
-        constexpr std::size_t kMaxLines = 4;
-        const std::size_t lines =
-            std::min(kMaxLines, (degree_v + kVerticesPerLine - 1) / kVerticesPerLine);
-        for (std::size_t line = 0; line < lines; ++line) {
-            __builtin_prefetch(adjacency_.data() + begin + line * kVerticesPerLine, 0, 1);
-        }
-    }
-
     [[nodiscard]] double average_degree() const noexcept {
         return num_vertices() == 0
                    ? 0.0
@@ -135,12 +116,11 @@ public:
     [[nodiscard]] std::span<const Vertex> raw_adjacency() const noexcept { return adjacency_; }
 
 private:
-    /// The parallel and streaming builds: the row passes of
-    /// graph/row_build.h over one range holding every vertex, with degree
-    /// counts and scatter cursors living inside offsets_ itself, so
-    /// construction needs no n-sized scratch array. `count_item` and
-    /// `scatter_item` read work item i's edges (the scatter's may also free
-    /// them once read).
+    /// Both builds: the row passes of graph/row_build.h over one range
+    /// holding every vertex, with degree counts and scatter cursors living
+    /// inside offsets_ itself, so construction needs no n-sized scratch
+    /// array. `count_item` and `scatter_item` read work item i's edges (the
+    /// scatter's may also free them once read).
     template <typename CountItem, typename ScatterItem>
     void build_csr(Vertex num_vertices, unsigned threads, std::size_t items,
                    CountItem&& count_item, ScatterItem&& scatter_item);
@@ -218,7 +198,11 @@ public:
     /// null adjacency data pointer but is still flat.
     [[nodiscard]] bool flat() const noexcept { return blob_ == nullptr; }
 
-    /// Same hint contract as Graph::prefetch_neighbors. The compressed
+    /// Software-prefetches the leading cache lines of v's row — walk loops
+    /// call this on the chosen next hop so the row is (at least partially)
+    /// resident when its scan begins. A hint only: no observable effect
+    /// besides timing. Capped at 4 lines; longer rows are scanned front to
+    /// back anyway, and the hardware prefetcher takes over. The compressed
     /// variant prefetches the leading *blob* bytes of v's block — it must
     /// never decode here, since that would clobber the live scratch row.
     void prefetch_neighbors(Vertex v) const noexcept {

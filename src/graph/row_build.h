@@ -10,9 +10,9 @@
 #include "graph/graph.h"
 
 /// The passes that turn an undirected edge source into sorted adjacency
-/// rows, shared by Graph's parallel constructors (one range holding every
-/// vertex) and the out-of-core pack builder (consecutive vertex ranges
-/// through one bounded buffer, graph/edge_stream.h).
+/// rows, shared by Graph's constructors (one range holding every vertex)
+/// and the out-of-core pack builder (consecutive vertex ranges through one
+/// bounded buffer, graph/edge_stream.h).
 ///
 /// The source is read through `for_each_item(item, fn)`, which calls
 /// fn(edge) for every edge of work item `item` in [0, items) — a chunk of a

@@ -44,8 +44,9 @@ TEST(CheckMacros, DcheckCompilesAndArgsStayTypeChecked) {
 }
 
 TEST(CsrBuildDeathTest, RejectsOutOfRangeEndpoint) {
+    // One edge block: the count pass runs inline on the calling thread.
     const std::vector<Edge> edges{{0, 5}};
-    EXPECT_DEATH(Graph(2, edges), "out of range");
+    EXPECT_DEATH(Graph(2, edges, /*threads=*/1), "out of range");
 }
 
 TEST(CsrBuildDeathTest, RejectsOutOfRangeEndpointParallel) {

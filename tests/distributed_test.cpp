@@ -137,14 +137,15 @@ TEST(DistributedPhiDfsTest, PathsMatchCentralizedRouter) {
     // take the *identical* walk as the centralized state machine kept as
     // the oracle (tests/reference_routers.*), including all backtracking,
     // on sparse graphs with many dead ends — honestly, and under crashes,
-    // link outages, edge removals and misrouting, phantom-advertising liars
-    // (the oracle models no message loss).
+    // link outages, edge removals, message loss and misrouting,
+    // phantom-advertising liars.
     const Girg g = generate_girg(dist_params(1.0), 33);
     FaultPlan fault_plan;
     fault_plan.seed = 35;
     fault_plan.crash_fraction = 0.05;
     fault_plan.link_failure_prob = 0.1;
     fault_plan.edge_removal_prob = 0.05;
+    fault_plan.message_loss_prob = 0.05;
     const FaultState faults(g.graph, fault_plan);
     AdversaryPlan adversary_plan;
     adversary_plan.seed = 36;

@@ -10,7 +10,6 @@
 #include "girg/edge_probability.h"
 #include "girg/fast_sampler.h"
 #include "girg/generator.h"
-#include "girg/naive_sampler.h"
 #include "girg/params.h"
 #include "girg/relabel.h"
 #include "graph/components.h"
@@ -156,78 +155,94 @@ TEST(Generator, DeterministicForSeed) {
     EXPECT_EQ(a.graph.num_edges(), b.graph.num_edges());
 }
 
-// The streaming CSR-direct pipeline (chunked sinks + fused relabel) and the
-// legacy buffer-everything pipeline must agree byte for byte: same weights,
-// same coordinates, same CSR rows — at every thread count, with and without
-// Morton relabeling, and with planted vertices.
+/// generate_girg's instance assembled by hand from its parts: the attribute
+/// prefix, the unrelabeled edge stream copied out as a vector, endpoints and
+/// attributes remapped through the Morton permutation afterwards, and the
+/// CSR built from the contiguous edge list.
+Girg assemble_by_hand(const GirgParams& params, std::uint64_t seed,
+                      const GenerateOptions& options) {
+    Girg girg;
+    Rng rng(seed);
+    const PageVector<Vertex> new_ids = detail::sample_attributes(params, options, rng, girg);
+    std::vector<Edge> edges = detail::sample_edges_stream(params, girg.weights, girg.positions,
+                                                          rng, options.sampler, nullptr)
+                                  .to_vector();
+    if (!new_ids.empty()) {
+        apply_relabeling(new_ids, girg.weights, girg.positions);
+        for (auto& [u, v] : edges) {
+            u = new_ids[u];
+            v = new_ids[v];
+        }
+    }
+    girg.graph = Graph(girg.num_vertices(), edges);
+    return girg;
+}
+
+testing::AssertionResult same_csr(const Graph& a, const Graph& b) {
+    if (a.num_vertices() != b.num_vertices() || a.num_edges() != b.num_edges()) {
+        return testing::AssertionFailure() << a.num_vertices() << "/" << a.num_edges()
+                                           << " vs " << b.num_vertices() << "/" << b.num_edges();
+    }
+    for (Vertex v = 0; v < a.num_vertices(); ++v) {
+        const auto x = a.neighbors(v);
+        const auto y = b.neighbors(v);
+        if (!std::equal(x.begin(), x.end(), y.begin(), y.end())) {
+            return testing::AssertionFailure() << "row " << v << " differs";
+        }
+    }
+    return testing::AssertionSuccess();
+}
+
+// generate_girg streams edges through chunked sinks with the relabeling
+// fused into emission and builds the CSR from the chunks; the same instance
+// assembled by hand (contiguous edge list, post-hoc endpoint remap, span
+// CSR build) must agree byte for byte: same weights, same coordinates, same
+// CSR rows — at every thread count, with and without Morton relabeling, and
+// with planted vertices.
 TEST(Generator, StreamingMatchesLegacyPipeline) {
     GirgParams p = small_params();
     for (const bool relabel : {true, false}) {
         for (const unsigned threads : {1u, 2u, 8u}) {
             p.threads = threads;
-            GenerateOptions legacy_options;
-            legacy_options.streaming_csr = false;
-            legacy_options.morton_relabel = relabel;
-            GenerateOptions streaming_options;
-            streaming_options.streaming_csr = true;
-            streaming_options.morton_relabel = relabel;
+            GenerateOptions options;
+            options.morton_relabel = relabel;
             PlantedVertex planted;
             planted.weight = 4.0;
             planted.position[0] = 0.5;
-            legacy_options.planted.push_back(planted);
-            streaming_options.planted.push_back(planted);
+            options.planted.push_back(planted);
 
-            const Girg legacy = generate_girg(p, 1234, legacy_options);
-            const Girg streaming = generate_girg(p, 1234, streaming_options);
-            ASSERT_EQ(legacy.num_vertices(), streaming.num_vertices());
-            EXPECT_EQ(legacy.weights, streaming.weights);
-            EXPECT_EQ(legacy.positions.coords, streaming.positions.coords);
-            ASSERT_EQ(legacy.graph.num_edges(), streaming.graph.num_edges());
-            for (Vertex v = 0; v < legacy.num_vertices(); ++v) {
-                const auto a = legacy.graph.neighbors(v);
-                const auto b = streaming.graph.neighbors(v);
-                ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-                    << "relabel=" << relabel << " threads=" << threads << " v=" << v;
-            }
+            const Girg by_hand = assemble_by_hand(p, 1234, options);
+            const Girg streaming = generate_girg(p, 1234, options);
+            EXPECT_EQ(by_hand.weights, streaming.weights);
+            EXPECT_EQ(by_hand.positions.coords, streaming.positions.coords);
+            EXPECT_TRUE(same_csr(by_hand.graph, streaming.graph))
+                << "relabel=" << relabel << " threads=" << threads;
         }
     }
 }
 
 TEST(Generator, StreamingMatchesLegacyWithNaiveSampler) {
     GirgParams p = small_params();
-    GenerateOptions legacy_options;
-    legacy_options.sampler = SamplerKind::kNaive;
-    legacy_options.streaming_csr = false;
-    GenerateOptions streaming_options;
-    streaming_options.sampler = SamplerKind::kNaive;
-    streaming_options.streaming_csr = true;
-    const Girg legacy = generate_girg(p, 77, legacy_options);
-    const Girg streaming = generate_girg(p, 77, streaming_options);
-    EXPECT_EQ(legacy.weights, streaming.weights);
-    EXPECT_EQ(legacy.positions.coords, streaming.positions.coords);
-    ASSERT_EQ(legacy.graph.num_edges(), streaming.graph.num_edges());
-    for (Vertex v = 0; v < legacy.num_vertices(); ++v) {
-        const auto a = legacy.graph.neighbors(v);
-        const auto b = streaming.graph.neighbors(v);
-        ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << v;
-    }
+    GenerateOptions options;
+    options.sampler = SamplerKind::kNaive;
+    const Girg by_hand = assemble_by_hand(p, 77, options);
+    const Girg streaming = generate_girg(p, 77, options);
+    EXPECT_EQ(by_hand.weights, streaming.weights);
+    EXPECT_EQ(by_hand.positions.coords, streaming.positions.coords);
+    EXPECT_TRUE(same_csr(by_hand.graph, streaming.graph));
 }
 
-// resample_edges goes through the sink path; it must still equal a CSR built
-// from the buffered sampler's edge list for the same seed.
+// resample_edges builds its CSR from the chunk stream; it must equal the CSR
+// built from the same seed's edges copied out as a contiguous list.
 TEST(Generator, ResampleEdgesMatchesBufferedSampler) {
     const GirgParams p = small_params();
     const Girg base = generate_girg(p, 55);
     const Graph resampled = resample_edges(base, 1001, SamplerKind::kFast);
     Rng rng(1001);
-    const auto buffered = sample_edges_fast(base.params, base.weights, base.positions, rng);
+    const std::vector<Edge> buffered =
+        sample_edges_fast_stream(base.params, base.weights, base.positions, rng).to_vector();
     const Graph reference(base.num_vertices(), buffered);
-    ASSERT_EQ(resampled.num_edges(), reference.num_edges());
-    for (Vertex v = 0; v < reference.num_vertices(); ++v) {
-        const auto a = reference.neighbors(v);
-        const auto b = resampled.neighbors(v);
-        ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << v;
-    }
+    EXPECT_TRUE(same_csr(reference, resampled));
 }
 
 TEST(Generator, WeightsRespectMinimum) {
@@ -473,7 +488,7 @@ TEST(FastSampler, NoDuplicateOrSelfEdges) {
     p.n = 2000;
     const Girg base = generate_girg(p, 13);
     Rng rng(14);
-    const auto edges = sample_edges_fast(p, base.weights, base.positions, rng);
+    const auto edges = sample_edges_fast_stream(p, base.weights, base.positions, rng).to_vector();
     std::set<std::pair<Vertex, Vertex>> seen;
     for (const auto& [u, v] : edges) {
         EXPECT_NE(u, v);
@@ -489,13 +504,13 @@ TEST(FastSampler, HandlesEmptyAndSingleton) {
     const std::vector<double> no_weights;
     PointCloud no_points;
     no_points.dim = p.dim;
-    EXPECT_TRUE(sample_edges_fast(p, no_weights, no_points, rng).empty());
+    EXPECT_TRUE(sample_edges_fast_stream(p, no_weights, no_points, rng).empty());
 
     const std::vector<double> one_weight{1.5};
     PointCloud one_point;
     one_point.dim = p.dim;
     one_point.coords = {0.5, 0.5};
-    EXPECT_TRUE(sample_edges_fast(p, one_weight, one_point, rng).empty());
+    EXPECT_TRUE(sample_edges_fast_stream(p, one_weight, one_point, rng).empty());
 }
 
 TEST(FastSampler, AllDimensionsWork) {

@@ -128,8 +128,9 @@ TEST(Graph, MatchesNaiveReferenceOnRandomMultigraphs) {
 
 TEST(Graph, ParallelBuildByteIdenticalToSerial) {
     Rng rng(911);
-    // Large enough to cross the auto-parallel threshold, messy enough to
-    // exercise the parallel dedup-compaction path.
+    // threads = 1 runs the row passes inline on the calling thread; wider
+    // builds scatter concurrently. Large enough to span many edge and
+    // vertex blocks, messy enough to exercise the dedup-compaction path.
     const Vertex n = 20000;
     const auto edges = random_multigraph_edges(n, 120000, rng);
     const Graph serial(n, edges, 1);

@@ -10,6 +10,7 @@
 #include "girg/naive_sampler.h"
 #include "graph/edge_stream.h"
 #include "random/stats.h"
+#include "reference_sampler.h"
 
 namespace smallworld {
 namespace {
@@ -18,8 +19,8 @@ namespace {
 
 // The contract of the parallel sampler: with a fixed seed the edge list is
 // byte-identical at any thread count, because every cell-pair task draws
-// from its own counter-seeded stream and buffers are concatenated in task
-// order.
+// from its own counter-seeded stream and the per-task chunk lists are
+// spliced in task order.
 TEST(ParallelSampler, EdgeListIdenticalAcrossThreadCounts) {
     GirgParams params{.n = 3000, .dim = 2, .alpha = 2.0, .beta = 2.5,
                       .wmin = 1.5, .edge_scale = 1.0};
@@ -29,7 +30,7 @@ TEST(ParallelSampler, EdgeListIdenticalAcrossThreadCounts) {
         GirgParams p = base.params;
         p.threads = threads;
         Rng rng(99);
-        return sample_edges_fast(p, base.weights, base.positions, rng);
+        return sample_edges_fast_stream(p, base.weights, base.positions, rng).to_vector();
     };
 
     const std::vector<Edge> one = sample_with_threads(1);
@@ -49,7 +50,7 @@ TEST(ParallelSampler, HigherDimensionIdenticalAcrossThreadCounts) {
         GirgParams p = base.params;
         p.threads = threads;
         Rng rng(5);
-        return sample_edges_fast(p, base.weights, base.positions, rng);
+        return sample_edges_fast_stream(p, base.weights, base.positions, rng).to_vector();
     };
 
     const std::vector<Edge> one = sample_with_threads(1);
@@ -58,17 +59,17 @@ TEST(ParallelSampler, HigherDimensionIdenticalAcrossThreadCounts) {
     EXPECT_EQ(one, eight);
 }
 
-// The streaming sink path consumes the identical RNG sequence, so splicing
-// the per-task chunk lists in task order must reproduce the vector path's
-// edge sequence byte for byte — at every thread count.
+// Splicing the per-task chunk lists in task order must reproduce, at every
+// thread count, the edge sequence of the sampler's pre-tuning oracle
+// (tests/reference_sampler), which runs the same recursion task by task.
 TEST(ParallelSampler, StreamMatchesVectorPathAcrossThreadCounts) {
     GirgParams params{.n = 3000, .dim = 2, .alpha = 2.0, .beta = 2.5,
                       .wmin = 1.5, .edge_scale = 1.0};
     const Girg base = generate_girg(params, 321);
 
     Rng reference_rng(99);
-    const std::vector<Edge> reference =
-        sample_edges_fast(base.params, base.weights, base.positions, reference_rng);
+    const std::vector<Edge> reference = reference::sample_edges_fast(
+        base.params, base.weights, base.positions, reference_rng);
     ASSERT_FALSE(reference.empty());
 
     for (const unsigned threads : {1u, 2u, 8u}) {
@@ -81,17 +82,28 @@ TEST(ParallelSampler, StreamMatchesVectorPathAcrossThreadCounts) {
     }
 }
 
+// The naive stream flips one coin per vertex pair, u < v, in (u, v) order.
 TEST(ParallelSampler, NaiveStreamMatchesNaiveVector) {
     GirgParams params{.n = 300, .dim = 2, .alpha = 2.0, .beta = 2.5,
                       .wmin = 1.5, .edge_scale = 1.0};
     const Girg base = generate_girg(params, 88);
     Rng rng_a(7);
     Rng rng_b(7);
-    const auto buffered = sample_edges_naive(base.params, base.weights, base.positions, rng_a);
+    std::vector<Edge> coin_flips;
+    const auto n = static_cast<Vertex>(base.num_vertices());
+    for (Vertex u = 0; u < n; ++u) {
+        for (Vertex v = u + 1; v < n; ++v) {
+            const double p = girg_edge_probability(base.params, base.weights[u],
+                                                   base.weights[v], base.position(u),
+                                                   base.position(v));
+            if (rng_a.bernoulli(p)) coin_flips.emplace_back(u, v);
+        }
+    }
     const auto streamed =
         sample_edges_naive_stream(base.params, base.weights, base.positions, rng_b);
-    ASSERT_FALSE(buffered.empty());
-    EXPECT_EQ(streamed.to_vector(), buffered);
+    ASSERT_FALSE(coin_flips.empty());
+    EXPECT_EQ(streamed.to_vector(), coin_flips);
+    EXPECT_EQ(rng_a.uniform(), rng_b.uniform());
 }
 
 TEST(ParallelSampler, DistinctSeedsDiffer) {
@@ -101,9 +113,9 @@ TEST(ParallelSampler, DistinctSeedsDiffer) {
     const Girg base = generate_girg(params, 13);
     Rng rng_a(1);
     Rng rng_b(2);
-    const auto a = sample_edges_fast(params, base.weights, base.positions, rng_a);
-    const auto b = sample_edges_fast(params, base.weights, base.positions, rng_b);
-    EXPECT_NE(a, b);
+    const auto a = sample_edges_fast_stream(params, base.weights, base.positions, rng_a);
+    const auto b = sample_edges_fast_stream(params, base.weights, base.positions, rng_b);
+    EXPECT_NE(a.to_vector(), b.to_vector());
 }
 
 // ---------------------------------------------------------------- chi-square
@@ -166,7 +178,7 @@ TEST(ParallelSampler, MatchesExactKernelFrequencies) {
     const std::size_t kRounds = 3000;
     const auto freq = collect_frequencies(base, kRounds, [&](std::size_t r) {
         Rng rng(1000 + r);
-        return sample_edges_fast(p, base.weights, base.positions, rng);
+        return sample_edges_fast_stream(p, base.weights, base.positions, rng).to_vector();
     });
     ASSERT_GT(freq.pairs, 20u);
     EXPECT_TRUE(chi_square_ok(freq));
@@ -182,7 +194,8 @@ TEST(ParallelSampler, NaiveReferencePassesSameTest) {
     const std::size_t kRounds = 3000;
     const auto freq = collect_frequencies(base, kRounds, [&](std::size_t r) {
         Rng rng(5000 + r);
-        return sample_edges_naive(base.params, base.weights, base.positions, rng);
+        return sample_edges_naive_stream(base.params, base.weights, base.positions, rng)
+            .to_vector();
     });
     ASSERT_GT(freq.pairs, 20u);
     EXPECT_TRUE(chi_square_ok(freq));

@@ -2,8 +2,8 @@
 // named by src/girg/phi_simd_avx2.cpp): every PhiEvalMode must produce
 // bit-identical values, best_of choices, and RoutingResults. Vector-specific
 // cases skip when the AVX2 path cannot run (non-x86 CPU or
-// GIRG_FORCE_SCALAR=1), in which case the suite still pins scalar-vs-legacy
-// and scalar-vs-reference identity.
+// GIRG_FORCE_SCALAR=1), in which case the suite still pins the scalar
+// kernels against Girg::objective.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -52,21 +52,28 @@ PhiOptions mode(PhiEvalMode m) {
     return options;
 }
 
+/// The span of length `len` the span checks scan: a stride-7 walk over
+/// [0, n) with `middle` (the target, in most checks) in its middle slot and,
+/// from length 3, a duplicate entry.
+std::vector<Vertex> ragged_span(std::size_t len, std::size_t n, Vertex middle) {
+    std::vector<Vertex> span;
+    for (std::size_t i = 0; i < len; ++i) {
+        span.push_back(static_cast<Vertex>((i * 7 + len) % n));
+    }
+    span[len / 2] = middle;
+    if (len >= 3) span[len - 1] = span[0];
+    return span;
+}
+
 /// Asserts values() and best_of() agree bit-for-bit between two evaluators
 /// over spans of every length in [1, limit] (ragged tails around the 4- and
 /// 8-lane boundaries), including duplicate entries and the target itself.
 void expect_span_identity(const PhiEvaluator& a, const PhiEvaluator& b, std::size_t n,
                           std::size_t limit) {
-    std::vector<Vertex> span;
     std::vector<double> out_a;
     std::vector<double> out_b;
     for (std::size_t len = 1; len <= limit; ++len) {
-        span.clear();
-        for (std::size_t i = 0; i < len; ++i) {
-            span.push_back(static_cast<Vertex>((i * 7 + len) % n));
-        }
-        span[len / 2] = a.target();                      // target inside the span
-        if (len >= 3) span[len - 1] = span[0];           // duplicate entry
+        const std::vector<Vertex> span = ragged_span(len, n, a.target());
         out_a.assign(len, -1.0);
         out_b.assign(len, -1.0);
         a.values(span, out_a.data());
@@ -90,12 +97,9 @@ TEST(PhiSimdTest, ScalarMatchesGirgObjectiveReference) {
             const Girg girg = make_attributes(257, dim, norm, 17 + dim);
             const Vertex target = 31;
             const PhiEvaluator scalar(girg, target, mode(PhiEvalMode::kScalar));
-            const PhiEvaluator legacy(girg, target, mode(PhiEvalMode::kLegacyAos));
             for (Vertex v = 0; v < girg.num_vertices(); ++v) {
                 const double reference = girg.objective(v, girg.position(target));
                 ASSERT_EQ(bits(scalar.value(v)), bits(reference))
-                    << "dim=" << dim << " v=" << v;
-                ASSERT_EQ(bits(legacy.value(v)), bits(reference))
                     << "dim=" << dim << " v=" << v;
             }
         }
@@ -120,15 +124,49 @@ TEST(PhiSimdTest, VectorMatchesScalarBitwise) {
     }
 }
 
+/// Asserts that fresh evaluators' batched values() and best_of() over `span`
+/// equal a plain loop over Girg::objective bit for bit: the value of every
+/// lane, and the first maximum in list order with its value. Separate
+/// evaluators, so values() runs on a cold memo (the bulk path) and best_of()
+/// probes entry by entry.
+void expect_span_matches_objective(const Girg& girg, Vertex target, PhiEvalMode m,
+                                   const std::vector<Vertex>& span) {
+    std::vector<double> expected;
+    std::size_t best = 0;
+    for (std::size_t i = 0; i < span.size(); ++i) {
+        expected.push_back(girg.objective(span[i], girg.position(target)));
+        if (expected[i] > expected[best]) best = i;
+    }
+    const PhiEvaluator for_values(girg, target, mode(m));
+    std::vector<double> out(span.size(), -1.0);
+    for_values.values(span, out.data());
+    for (std::size_t i = 0; i < span.size(); ++i) {
+        ASSERT_EQ(bits(out[i]), bits(expected[i]))
+            << "len=" << span.size() << " lane=" << i << " v=" << span[i];
+    }
+    const PhiEvaluator for_best(girg, target, mode(m));
+    const BestNeighbor chosen = for_best.best_of(span);
+    ASSERT_EQ(chosen.vertex, span[best]) << "len=" << span.size();
+    ASSERT_EQ(bits(chosen.value), bits(expected[best])) << "len=" << span.size();
+}
+
 TEST(PhiSimdTest, LegacyMatchesScalarBitwise) {
     for (const Norm norm : {Norm::kMax, Norm::kEuclidean}) {
         for (int dim = 1; dim <= kMaxDim; ++dim) {
             const std::size_t n = 201;
             const Girg girg = make_attributes(n, dim, norm, 7 + dim);
             const Vertex target = 63;
-            const PhiEvaluator scalar(girg, target, mode(PhiEvalMode::kScalar));
-            const PhiEvaluator legacy(girg, target, mode(PhiEvalMode::kLegacyAos));
-            expect_span_identity(scalar, legacy, n, 17);
+            // Spans of every length up to 17 (ragged tails around the 4- and
+            // 8-lane boundaries), with the target in them and without.
+            for (std::size_t len = 1; len <= 17; ++len) {
+                for (const Vertex middle : {target, Vertex{target + 1}}) {
+                    const std::vector<Vertex> span = ragged_span(len, n, middle);
+                    expect_span_matches_objective(girg, target, PhiEvalMode::kScalar, span);
+                    if (phi_simd_available()) {
+                        expect_span_matches_objective(girg, target, PhiEvalMode::kSimd, span);
+                    }
+                }
+            }
         }
     }
 }

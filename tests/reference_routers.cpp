@@ -1,5 +1,6 @@
 #include "reference_routers.h"
 
+#include <cstdint>
 #include <deque>
 #include <limits>
 #include <optional>
@@ -12,7 +13,9 @@
 #include "core/greedy.h"
 
 // Copies of the pre-rework router code (see reference_routers.h); only
-// namespaces and comments differ. Keep the code as it is: it is the oracle.
+// namespaces and comments differ, and the Φ-DFS copy's send draws message
+// loss once per attempt, as the send chokepoint does (core/regime.h). Keep
+// the code as it is: it is the oracle.
 namespace smallworld::reference {
 
 ClaimedObjective::ClaimedObjective(const Objective& base, const AdversaryState& adversary)
@@ -374,12 +377,14 @@ private:
     /// lands on (== v honestly; a byzantine misrouting holder hijacks the
     /// forward to its worst advertised usable neighbor); kNoVertex when the
     /// step budget is exhausted or the packet drops — in flight, into a
-    /// phantom link, or into a blackhole. Under transient link faults the
-    /// move is the send chokepoint: a down link parks the message for an
-    /// epoch (a retry charged against the budget) up to max_retries
-    /// consecutive times, then the packet is dropped (kDeadEnd). A wait-out
-    /// hop landing exactly on the budget reports kStepLimit — budget beats
-    /// retry exhaustion, matching the greedy loop's convention.
+    /// phantom link, or into a blackhole. Under faults the move is the send
+    /// chokepoint: every attempt draws message loss (keyed by the route's
+    /// send-attempt counter) and, under transient link faults, the link
+    /// state of one epoch. A lost message or a down link is a retry charged
+    /// against the budget, up to max_retries consecutive times, then the
+    /// packet is dropped (kDeadEnd). A retry landing exactly on the budget
+    /// reports kStepLimit — budget beats retry exhaustion, matching the
+    /// greedy loop's convention.
     Vertex move_to(Vertex v) {
         const Vertex from = result_.path.back();
         if (from == v) return v;  // reprocessing in place, not a send
@@ -404,10 +409,15 @@ private:
             }
             v = worst;
         }
-        if (faults_.transient()) {
+        if (faults_.active()) {
             int waits = 0;
-            while (!faults_.link_up(from, v)) {
-                faults_.advance_epoch();
+            for (;;) {
+                bool failed = faults_.message_lost(send_attempt_++);
+                if (faults_.transient()) {
+                    if (!faults_.link_up(from, v)) failed = true;
+                    faults_.advance_epoch();
+                }
+                if (!failed) break;
                 if (waits >= faults_.max_retries()) {
                     result_.status = RoutingStatus::kDeadEnd;  // dropped in flight
                     return kNoVertex;
@@ -419,7 +429,6 @@ private:
                     return kNoVertex;
                 }
             }
-            faults_.advance_epoch();
         }
         result_.path.push_back(v);
         // A forward along an advertised-but-nonexistent link is swallowed;
@@ -459,6 +468,7 @@ private:
     double message_phi_ = kNegInf;
     double backtrack_upper_ = kNegInf;
     Vertex last_visited_ = kNoVertex;
+    std::uint64_t send_attempt_ = 0;  // message-loss key
     RoutingResult result_;
 };
 

@@ -67,22 +67,12 @@ struct Task {
     Slice a_i, a_j, b_i, b_j;
 };
 
-/// Sink for the legacy buffered path: plain vector append. The streaming
-/// path substitutes ChunkedEdgeSink; both see the same emit() calls in the
-/// same order, which is what keeps the two pipelines byte-identical.
-struct VectorSink {
-    std::vector<Edge> edges;
-    void emit(Vertex u, Vertex v) { edges.emplace_back(u, v); }
-    void finish() {}  // ChunkedEdgeSink reclaims chunk tails here; no-op.
-};
-
 /// Per-task mutable state: its own counter-seeded RNG stream and edge sink.
-/// Sinks are concatenated in task order afterwards, which makes the full
-/// edge sequence byte-identical at any thread count.
-template <typename Sink>
+/// Sinks are spliced in task order afterwards, which makes the full edge
+/// sequence byte-identical at any thread count.
 struct TaskContext {
     Rng rng;
-    Sink& sink;
+    ChunkedEdgeSink& sink;
 };
 
 class FastSampler {
@@ -95,27 +85,28 @@ public:
                    "coverage tallies need a single-threaded run");
     }
 
-    /// Runs the parallel recursion, giving every task its own sink from
-    /// make_sink(task_index); returns the per-task sinks in task order.
-    /// The RNG draw sequence (streams() after collect_tasks(), skipped on an
-    /// empty instance) is independent of the sink type, so every sink sees
-    /// the identical emit() sequence for a fixed seed.
-    template <typename Sink, typename MakeSink>
-    std::vector<Sink> run(MakeSink&& make_sink) {
-        std::vector<Sink> sinks;
-        if (weights_.empty()) return sinks;
+    /// Runs the parallel recursion, every task emitting into its own sink
+    /// (endpoints remapped through `relabel` when it is non-null), and
+    /// returns the per-task chunk lists spliced in task order. The RNG draw
+    /// sequence is streams() after collect_tasks(), skipped on an empty
+    /// instance.
+    ChunkedEdgeList run(const Vertex* relabel) {
+        auto arena = std::make_shared<EdgeArena>();
+        ChunkedEdgeList edges(arena);
+        if (weights_.empty()) return edges;
         build_layers();
         collect_tasks();
         // Counter-seeded streams: task t's randomness depends only on the
         // parent generator's state and t, so the dynamic assignment of
         // tasks to threads cannot perturb the output.
         const RngStreams streams = rng_.streams();
+        std::vector<ChunkedEdgeSink> sinks;
         sinks.reserve(tasks_.size());
-        for (std::size_t t = 0; t < tasks_.size(); ++t) sinks.push_back(make_sink(t));
+        for (std::size_t t = 0; t < tasks_.size(); ++t) sinks.emplace_back(arena, relabel);
         parallel_for(
             tasks_.size(),
             [&](std::size_t t) {
-                TaskContext<Sink> ctx{streams.stream(t), sinks[t]};
+                TaskContext ctx{streams.stream(t), sinks[t]};
                 const Task& task = tasks_[t];
                 process(task.i, task.j, task.target, task.a, task.code_a, task.b,
                         task.code_b, task.a_i, task.a_j, task.b_i, task.b_j, ctx);
@@ -124,18 +115,7 @@ public:
                 ctx.sink.finish();
             },
             params_.threads, /*chunk=*/8);
-        return sinks;
-    }
-
-    std::vector<Edge> run_to_vector() {
-        auto sinks = run<VectorSink>([](std::size_t) { return VectorSink{}; });
-        std::size_t total = 0;
-        for (const auto& sink : sinks) total += sink.edges.size();
-        std::vector<Edge> edges;
-        edges.reserve(total);
-        for (const auto& sink : sinks) {
-            edges.insert(edges.end(), sink.edges.begin(), sink.edges.end());
-        }
+        for (ChunkedEdgeSink& sink : sinks) edges.splice(sink.take());
         return edges;
     }
 
@@ -294,8 +274,7 @@ private:
                                      positions_.point(v));
     }
 
-    template <typename Sink>
-    void check_pair(Vertex u, Vertex v, TaskContext<Sink>& ctx) const {
+    void check_pair(Vertex u, Vertex v, TaskContext& ctx) const {
         if (ctx.rng.bernoulli(exact_probability(u, v))) ctx.sink.emit(u, v);
     }
 
@@ -305,10 +284,9 @@ private:
     /// Morton codes threaded through to avoid re-encoding), where a_i/a_j
     /// are layer i/j's vertices in a and b_i/b_j in b. Invariant on entry:
     /// the chain of ancestors of (a, b) all touch.
-    template <typename Sink>
     void process(int i, int j, int target, const Cell& a, std::uint64_t code_a,  // NOLINT
                  const Cell& b, std::uint64_t code_b, const Slice& a_i, const Slice& a_j,
-                 const Slice& b_i, const Slice& b_j, TaskContext<Sink>& ctx) const {
+                 const Slice& b_i, const Slice& b_j, TaskContext& ctx) const {
         const bool same_cell = code_a == code_b;
         // A candidate pair needs a layer-i vertex on one side and a layer-j
         // vertex on the other (for same_cell both live in a).
@@ -362,8 +340,7 @@ private:
 
     // ---- type I: exhaustive at the target level -------------------------
 
-    template <typename Sink>
-    void cross_check(const Slice& ra, const Slice& rb, TaskContext<Sink>& ctx) const {
+    void cross_check(const Slice& ra, const Slice& rb, TaskContext& ctx) const {
         for (std::size_t p = 0; p < ra.count; ++p) {
             for (std::size_t q = 0; q < rb.count; ++q) {
                 check_pair(ra.vertices[p], rb.vertices[q], ctx);
@@ -371,9 +348,8 @@ private:
         }
     }
 
-    template <typename Sink>
     void sample_type1(bool same_cell, int i, int j, const Slice& a_i, const Slice& a_j,
-                      const Slice& b_i, const Slice& b_j, TaskContext<Sink>& ctx) const {
+                      const Slice& b_i, const Slice& b_j, TaskContext& ctx) const {
         if (same_cell && i == j) {
             for (std::size_t p = 0; p < a_i.count; ++p) {
                 for (std::size_t q = p + 1; q < a_i.count; ++q) {
@@ -389,9 +365,8 @@ private:
 
     // ---- type II: geometric jumps over distant cell pairs ---------------
 
-    template <typename Sink>
     void sample_type2_direction(const Slice& ra, const Slice& rb, double pbar,
-                                TaskContext<Sink>& ctx) const {
+                                TaskContext& ctx) const {
         const std::uint64_t total =
             static_cast<std::uint64_t>(ra.count) * static_cast<std::uint64_t>(rb.count);
         if (coverage_ != nullptr && pbar >= 1.0) ++coverage_->pbar_at_least_one;
@@ -445,7 +420,7 @@ std::vector<Edge> sample_edges_fast(const GirgParams& params,
     GIRG_CHECK(weights.size() == positions.count(), "weights ", weights.size(),
                " vs positions ", positions.count());
     GIRG_CHECK(positions.dim == params.dim, "dim mismatch");
-    return FastSampler(params, weights, positions, rng, coverage).run_to_vector();
+    return FastSampler(params, weights, positions, rng, coverage).run(nullptr).to_vector();
 }
 
 ChunkedEdgeList sample_edges_fast_stream(const GirgParams& params,
@@ -455,13 +430,7 @@ ChunkedEdgeList sample_edges_fast_stream(const GirgParams& params,
     GIRG_CHECK(weights.size() == positions.count(), "weights ", weights.size(),
                " vs positions ", positions.count());
     GIRG_CHECK(positions.dim == params.dim, "dim mismatch");
-    auto arena = std::make_shared<EdgeArena>();
-    FastSampler sampler(params, weights, positions, rng, nullptr);
-    auto sinks = sampler.run<ChunkedEdgeSink>(
-        [&](std::size_t) { return ChunkedEdgeSink(arena, relabel); });
-    ChunkedEdgeList edges(arena);
-    for (ChunkedEdgeSink& sink : sinks) edges.splice(sink.take());
-    return edges;
+    return FastSampler(params, weights, positions, rng, nullptr).run(relabel);
 }
 
 }  // namespace smallworld::reference

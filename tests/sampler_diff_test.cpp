@@ -1,9 +1,9 @@
 // Differential test of the layered cell sampler (girg/fast_sampler) against
 // its pre-tuning copy (tests/reference_sampler): on a grid over n, d, alpha,
-// beta, wmin, the norm and the edge scale, the vector and the streaming entry
-// points, with and without a fused relabel, at 1/2/8 threads, must emit
-// exactly the reference's edge sequence and leave the caller's generator in
-// the same state. Instances come from generate_girg's own attribute prefix,
+// beta, wmin, the norm and the edge scale, the streaming entry point, with
+// and without a fused relabel, at 1/2/8 threads, must emit exactly the
+// reference's edge sequence and leave the caller's generator in the same
+// state. Instances come from generate_girg's own attribute prefix,
 // so planted vertices, a fixed vertex count and supplied weights are covered
 // too. A unit test pins the type-II early exit against the full log
 // computation on boundary triples.
@@ -45,9 +45,9 @@ enum class Scale {
 };
 constexpr Scale kScales[] = {Scale::kCalibrated, Scale::kDense, Scale::kDyadic};
 
-/// The three production entry points.
-enum class Entry { kVector, kStream, kRelabeledStream };
-constexpr Entry kEntries[] = {Entry::kVector, Entry::kStream, Entry::kRelabeledStream};
+/// The production entry point, without and with a fused relabel.
+enum class Entry { kStream, kRelabeledStream };
+constexpr Entry kEntries[] = {Entry::kStream, Entry::kRelabeledStream};
 
 struct Run {
     Entry entry;
@@ -143,11 +143,7 @@ void expect_same_edges(const Instance& instance, std::initializer_list<Run> runs
                                   std::to_string(static_cast<int>(run.entry)) +
                                   " threads=" + std::to_string(run.threads);
         Rng r = rng;
-        if (run.entry == Entry::kVector) {
-            EXPECT_TRUE(same_edges(sample_edges_fast(p, girg.weights, girg.positions, r),
-                                   expected))
-                << where;
-        } else if (run.entry == Entry::kStream) {
+        if (run.entry == Entry::kStream) {
             EXPECT_TRUE(same_edges(
                 sample_edges_fast_stream(p, girg.weights, girg.positions, r).to_vector(),
                 expected))
@@ -168,7 +164,7 @@ void expect_same_edges(const Instance& instance, std::initializer_list<Run> runs
 
 /// Every grid point for a given n: the full product of the parameter axes
 /// times three seeds, each point checked by one production run whose entry
-/// point and thread count rotate through all nine combinations, and every
+/// point and thread count rotate through all six combinations, and every
 /// third point on a fixed vertex count.
 void full_grid(double n, reference::SamplerCoverage& coverage) {
     std::size_t point = 0;
@@ -183,7 +179,7 @@ void full_grid(double n, reference::SamplerCoverage& coverage) {
                                                   seed, {}};
                                 instance.options.fixed_vertex_count = point % 3 == 0;
                                 expect_same_edges(
-                                    instance, {{kEntries[point % 3], kThreads[(point / 3) % 3]}},
+                                    instance, {{kEntries[point % 2], kThreads[(point / 2) % 3]}},
                                     coverage);
                             }
                         }
@@ -196,7 +192,7 @@ void full_grid(double n, reference::SamplerCoverage& coverage) {
 
 /// Larger n: every (d, alpha) pair up to `max_dim`, with the edge scale,
 /// beta, wmin, the norm and the seed rotating across the points; each point
-/// runs all three entry points, at thread counts rotating through 1/2/8.
+/// runs both entry points, at thread counts rotating through 1/2/8.
 void covering_grid(double n, int max_dim, reference::SamplerCoverage& coverage) {
     std::size_t point = 0;
     for (const int dim : kDims) {
@@ -212,9 +208,8 @@ void covering_grid(double n, int max_dim, reference::SamplerCoverage& coverage) 
                               1 + point % 3,
                               {}};
             expect_same_edges(instance,
-                              {{Entry::kVector, kThreads[point % 3]},
-                               {Entry::kStream, kThreads[(point + 1) % 3]},
-                               {Entry::kRelabeledStream, kThreads[(point + 2) % 3]}},
+                              {{Entry::kStream, kThreads[point % 3]},
+                               {Entry::kRelabeledStream, kThreads[(point + 1) % 3]}},
                               coverage);
             ++point;
         }
@@ -294,7 +289,7 @@ TEST(SamplerDiff, GenerateOptionsThroughGenerateGirg) {
                 instance.options.weights.push_back(1e6);
             }
             expect_same_edges(instance,
-                              {{Entry::kVector, 1}, {Entry::kStream, 2},
+                              {{Entry::kStream, 1}, {Entry::kStream, 2},
                                {Entry::kRelabeledStream, 8}},
                               coverage);
 
