@@ -13,7 +13,7 @@
 namespace smallworld {
 
 GirgObjective::GirgObjective(const Girg& girg, Vertex target, const PhiOptions& options)
-    : evaluator_(girg, target, options) {}
+    : evaluator_(girg, target, options), girg_(&girg) {}
 
 double GirgObjective::value(Vertex v) const { return evaluator_.value(v); }
 
@@ -23,6 +23,24 @@ void GirgObjective::values(std::span<const Vertex> vertices, double* out) const 
 
 BestNeighbor GirgObjective::best_of(std::span<const Vertex> vertices) const {
     return evaluator_.best_of(vertices);
+}
+
+BestNeighbor GirgObjective::best_above(Vertex holder, std::span<const Vertex> row,
+                                       double floor) const {
+    const Graph& graph = girg_->graph;
+    // The span *is* holder's row of girg.graph only if it starts there: a
+    // residual, advertised or decoded row lives in other storage.
+    if (row.size() >= HubRowSummary::kMinDegree && holder < graph.num_vertices() &&
+        graph.num_vertices() == girg_->num_vertices() &&
+        row.data() == graph.neighbors(holder).data() && row.size() == graph.degree(holder)) {
+        if (hubs_ == nullptr || !hubs_->built_from(graph, evaluator_.soa())) {
+            hubs_ = girg_->hub_rows();
+        }
+        if (hubs_->built_from(graph, evaluator_.soa())) {
+            return evaluator_.best_above(*hubs_, holder, row, floor);
+        }
+    }
+    return Objective::best_above(holder, row, floor);
 }
 
 GeometricObjective::GeometricObjective(const PointCloud& positions, Vertex target)

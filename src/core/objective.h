@@ -1,10 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "girg/girg.h"
+#include "girg/hub_rows.h"
 #include "girg/phi_evaluator.h"
 #include "graph/graph.h"
 
@@ -54,6 +56,22 @@ public:
         }
         return best;
     }
+
+    /// First maximizer of phi over `row`, the row `holder` sees, among the
+    /// entries whose phi exceeds `floor`, with its value; {kNoVertex, 0.0}
+    /// when none does. That is best_of(row) filtered by the floor, which is
+    /// what this default computes. An objective may answer from knowing
+    /// whose row it is instead of evaluating every entry: GirgObjective
+    /// skips the blocks of its graph's hub rows that cannot win. A
+    /// decorator that does not forward this entry gets the full scan of its
+    /// own best_of.
+    [[nodiscard]] virtual BestNeighbor best_above(Vertex holder, std::span<const Vertex> row,
+                                                  double floor) const {
+        (void)holder;
+        const BestNeighbor best = best_of(row);
+        if (best.vertex == kNoVertex || !(best.value > floor)) return {};
+        return best;
+    }
 };
 
 /// The paper's canonical objective phi(v) = wv / (wmin * n * ||xv - xt||^d),
@@ -72,9 +90,19 @@ public:
     [[nodiscard]] Vertex target() const override { return evaluator_.target(); }
     void values(std::span<const Vertex> vertices, double* out) const override;
     [[nodiscard]] BestNeighbor best_of(std::span<const Vertex> vertices) const override;
+    /// Pruned (girg/hub_rows.h) when `row` is `holder`'s own row of
+    /// girg.graph and has degree >= HubRowSummary::kMinDegree: the row a
+    /// lockstep walk sees under an inactive regime on a resident view. Any
+    /// other row (a residual or advertised row, a pack's, a short one) gets
+    /// the full scan. The summary is fetched on the first pruned call, so
+    /// an objective that never prunes never builds or locks for it.
+    [[nodiscard]] BestNeighbor best_above(Vertex holder, std::span<const Vertex> row,
+                                          double floor) const override;
 
 private:
     PhiEvaluator evaluator_;
+    const Girg* girg_;
+    mutable std::shared_ptr<const HubRowSummary> hubs_;  // fetched on first use
 };
 
 /// Degree-agnostic geometric objective 1/||xv - xt|| (torus L-infinity) —

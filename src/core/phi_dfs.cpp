@@ -62,8 +62,9 @@ Action DistributedPhiDfs::on_wake(const LocalView& view, ProtocolMessage& messag
             return Action::forward(back);
         }
         // Lines 10-17 read one argmax over the row: SET_NEW_PHI's test and
-        // the descent (line 15) share it.
-        const BestNeighbor best = view.best();
+        // the descent (line 15) share it. Both compare with >=, so it is
+        // taken over the whole row (no floor).
+        const BestNeighbor best = view.best(kNegInf);
         const bool has_best = best.vertex != kNoVertex;
         if (phi_self > message.best_seen) {
             // SET_NEW_PHI(self), lines 30-35.

@@ -29,10 +29,11 @@ std::span<const double> LocalView::values() const {
     return {values_->data(), row.size()};
 }
 
-BestNeighbor LocalView::best() const {
+BestNeighbor LocalView::best(double floor) const {
     // One argmax rule for the whole repo: Objective::best_of's first-maximum
-    // tie-break (toward the smaller id on the sorted visible row).
-    return objective_->best_of(neighbors());
+    // tie-break (toward the smaller id on the sorted visible row), filtered
+    // by the floor.
+    return objective_->best_above(self_, neighbors(), floor);
 }
 
 double LocalView::phi(Vertex u) const {

@@ -86,10 +86,14 @@ public:
     /// batched Objective::values pass, made once per view.
     [[nodiscard]] std::span<const double> values() const;
 
-    /// The visible neighbor with the largest phi, and that phi; ties toward
-    /// the smaller id, {kNoVertex, 0.0} when isolated. It is
-    /// Objective::best_of, the argmax every router of the paper uses.
-    [[nodiscard]] BestNeighbor best() const;
+    /// The visible neighbor with the largest phi among those whose phi
+    /// exceeds `floor`, and that phi; ties toward the smaller id,
+    /// {kNoVertex, 0.0} when none does. It is Objective::best_above: the
+    /// first-maximum argmax every router of the paper uses, filtered. Under
+    /// an inactive regime on a resident view the visible row is the graph's
+    /// own, and GirgObjective skips the blocks of a hub's row that cannot
+    /// beat the floor or the best so far.
+    [[nodiscard]] BestNeighbor best(double floor) const;
 
     /// Objective of this node or one of its neighbors. Evaluating any other
     /// vertex is possible (the value is returned so the protocol keeps

@@ -6,10 +6,9 @@ Action DistributedGreedy::on_wake(const LocalView& view, ProtocolMessage& messag
                                   NodeSlot& slot) const {
     (void)slot;
     if (view.self() == message.target) return Action::deliver();
-    const BestNeighbor best = view.best();
-    if (best.vertex == kNoVertex || !(best.value > view.phi(view.self()))) {
-        return Action::drop();
-    }
+    // Only a strict improvement on the holder moves the message on.
+    const BestNeighbor best = view.best(view.phi(view.self()));
+    if (best.vertex == kNoVertex) return Action::drop();
     return Action::forward(best.vertex);
 }
 

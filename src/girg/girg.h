@@ -10,14 +10,15 @@
 
 namespace smallworld {
 
+class HubRowSummary;
 class PhiSoA;
 
 namespace detail {
-/// Process-wide lock for every Girg's lazily built SoA cache. One shared
-/// mutex (not a per-instance member) keeps Girg copyable/movable; the
-/// critical section is a pointer check plus, once per graph, the plane
-/// build. Defined in girg.cpp; named here so the guarded member below can
-/// carry its capability annotation.
+/// Process-wide lock for every Girg's lazily built SoA planes and hub-row
+/// summary. One shared mutex (not a per-instance member) keeps Girg
+/// copyable/movable; the critical section is a pointer check plus, once per
+/// graph, the build. Defined in girg.cpp; named here so the guarded members
+/// below can carry their capability annotation.
 extern Mutex phi_soa_mutex;
 }  // namespace detail
 
@@ -59,13 +60,27 @@ struct Girg {
     /// the first caller pays the O(n*d) plane build.
     [[nodiscard]] std::shared_ptr<const PhiSoA> phi_soa() const;
 
-    /// Drops the cached SoA view. Must be called after mutating weights or
-    /// positions in place (morton_relabel does); outstanding shared_ptrs
-    /// keep the old planes alive but new evaluators see the fresh ones.
+    /// Lazily built, cached summary of the graph's hub rows over the
+    /// phi_soa() planes (girg/hub_rows.h), for GirgObjective's pruned
+    /// argmax. Thread-safe; the first caller pays the build, and a graph
+    /// assigned since the last build (a new Graph::identity) is summarized
+    /// afresh.
+    [[nodiscard]] std::shared_ptr<const HubRowSummary> hub_rows() const;
+
+    /// Drops the cached SoA view and hub-row summary. Must be called after
+    /// mutating weights or positions in place (morton_relabel does);
+    /// outstanding shared_ptrs keep the old planes alive but new evaluators
+    /// see the fresh ones.
     void invalidate_phi_soa() const;
 
 private:
+    /// phi_soa_cache_, rebuilt first if missing or sized for other weights.
+    [[nodiscard]] const std::shared_ptr<const PhiSoA>& fresh_phi_soa() const
+        GIRG_REQUIRES(detail::phi_soa_mutex);
+
     mutable std::shared_ptr<const PhiSoA> phi_soa_cache_
+        GIRG_GUARDED_BY(detail::phi_soa_mutex);
+    mutable std::shared_ptr<const HubRowSummary> hub_rows_cache_
         GIRG_GUARDED_BY(detail::phi_soa_mutex);
 };
 

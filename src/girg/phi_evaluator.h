@@ -9,6 +9,7 @@
 #include "core/check.h"
 #include "geometry/torus.h"
 #include "girg/girg.h"
+#include "girg/hub_rows.h"
 #include "girg/phi_memo.h"
 #include "girg/phi_soa.h"
 
@@ -127,6 +128,20 @@ public:
         if (lane.index == PhiBestLane::kNone) return {};
         return {vertices[lane.index], lane.value};
     }
+
+    /// best_of over `row`, `holder`'s row in the graph `hubs` summarizes,
+    /// among the entries whose phi exceeds `floor` ({kNoVertex, 0.0} when
+    /// none does), skipping the blocks that cannot win. `hubs` must be
+    /// built from soa() (HubRowSummary::built_from).
+    [[nodiscard]] BestNeighbor best_above(const HubRowSummary& hubs, Vertex holder,
+                                          std::span<const Vertex> row, double floor) const {
+        const PhiBestLane lane = hubs.best_above(ctx_, ops_->best, holder, row, floor);
+        if (lane.index == PhiBestLane::kNone) return {};
+        return {row[lane.index], lane.value};
+    }
+
+    /// The attribute planes this evaluator reads.
+    [[nodiscard]] const PhiSoA* soa() const noexcept { return soa_.get(); }
 
 private:
     PhiKernelCtx ctx_;

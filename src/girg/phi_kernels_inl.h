@@ -15,6 +15,33 @@ namespace smallworld::detail {
 
 inline constexpr double kPhiInf = std::numeric_limits<double>::infinity();
 
+/// The distance half of phi: the per-axis wrapped distances folded into
+/// dist^D by the L-inf max chain (or the L2 axis-order sum and sqrt), then
+/// the integer-d power ladder. `axis_distance(axis)` supplies the axes in
+/// order. phi_compute_lane and the hub-row bound (girg/hub_rows.cpp) both
+/// run exactly these operations.
+template <Norm N, int D, typename AxisDistance>
+double phi_dist_pow(const AxisDistance& axis_distance) noexcept {
+    double dist;
+    if constexpr (N == Norm::kMax) {
+        dist = 0.0;
+        for (int axis = 0; axis < D; ++axis) {
+            const double di = axis_distance(axis);
+            if (di > dist) dist = di;
+        }
+    } else {
+        double sum = 0.0;
+        for (int axis = 0; axis < D; ++axis) {
+            const double di = axis_distance(axis);
+            sum += di * di;
+        }
+        dist = std::sqrt(sum);
+    }
+    double dist_pow_d = dist;
+    for (int i = 1; i < D; ++i) dist_pow_d *= dist;
+    return dist_pow_d;
+}
+
 /// Scalar phi with the (norm, dim) dispatch hoisted into template
 /// parameters. Reproduces Girg::objective bit for bit: wrapped per-axis
 /// distance, L-inf max chain (or L2 axis-order sum + sqrt), integer-d power
@@ -25,23 +52,9 @@ inline constexpr double kPhiInf = std::numeric_limits<double>::infinity();
 template <Norm N, int D>
 double phi_compute_lane(const PhiKernelCtx& ctx, Vertex v) noexcept {
     if (v == ctx.target) return kPhiInf;
-    double dist;
-    if constexpr (N == Norm::kMax) {
-        dist = 0.0;
-        for (int axis = 0; axis < D; ++axis) {
-            const double di = torus_coord_distance(ctx.axes[axis][v], ctx.target_position[axis]);
-            if (di > dist) dist = di;
-        }
-    } else {
-        double sum = 0.0;
-        for (int axis = 0; axis < D; ++axis) {
-            const double di = torus_coord_distance(ctx.axes[axis][v], ctx.target_position[axis]);
-            sum += di * di;
-        }
-        dist = std::sqrt(sum);
-    }
-    double dist_pow_d = dist;
-    for (int i = 1; i < D; ++i) dist_pow_d *= dist;
+    const double dist_pow_d = phi_dist_pow<N, D>([&](int axis) {
+        return torus_coord_distance(ctx.axes[axis][v], ctx.target_position[axis]);
+    });
     if (dist_pow_d == 0.0) return kPhiInf;
     return ctx.weights[v] / (ctx.wn * dist_pow_d);
 }

@@ -1,6 +1,8 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -21,6 +23,9 @@ constexpr std::size_t kBlockSize = 8192;
 [[nodiscard]] std::size_t block_count(std::size_t items) noexcept {
     return (items + kBlockSize - 1) / kBlockSize;
 }
+
+/// The last identity a build drew.
+std::atomic<std::uint64_t> last_identity{0};
 
 }  // namespace
 
@@ -75,6 +80,7 @@ Graph::Graph(Vertex num_vertices, ChunkedEdgeList&& edges, unsigned threads) {
 template <typename CountItem, typename ScatterItem>
 void Graph::build_csr(Vertex num_vertices, unsigned threads, std::size_t items,
                       CountItem&& count_item, ScatterItem&& scatter_item) {
+    identity_ = last_identity.fetch_add(1) + 1;
     offsets_.assign(static_cast<std::size_t>(num_vertices) + 1, 0);
     const std::span<std::size_t> counts(offsets_);
     row_build::count_arcs(counts, items, threads, count_item);

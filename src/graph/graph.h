@@ -115,6 +115,12 @@ public:
     [[nodiscard]] std::span<const std::size_t> raw_offsets() const noexcept { return offsets_; }
     [[nodiscard]] std::span<const Vertex> raw_adjacency() const noexcept { return adjacency_; }
 
+    /// Process-unique token of these rows: each build draws a fresh one, and
+    /// copies and moves carry it with the rows (0 for a default graph).
+    /// Caches derived from the rows key on it, not on addresses: a graph
+    /// assigned in place of another may reuse the freed storage.
+    [[nodiscard]] std::uint64_t identity() const noexcept { return identity_; }
+
 private:
     /// Both builds: the row passes of graph/row_build.h over one range
     /// holding every vertex, with degree counts and scatter cursors living
@@ -132,6 +138,7 @@ private:
 
     std::vector<std::size_t> offsets_;  // size num_vertices + 1
     AdjacencyVector adjacency_;         // size 2 * num_edges
+    std::uint64_t identity_ = 0;
 };
 
 /// Non-owning, uniform read surface over adjacency storage: a resident

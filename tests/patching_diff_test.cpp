@@ -76,6 +76,9 @@ std::vector<FaultPlan> fault_plans() {
                 plan.crash_selection = crash.selection;
                 plan.link_failure_prob = link_p;
                 plan.edge_removal_prob = removal;
+                // Message loss rides on every plan but the all-zero one,
+                // which keeps the grid's honest cells.
+                plan.message_loss_prob = plan.any() ? 0.05 : 0.0;
                 plans.push_back(plan);
             }
         }
@@ -101,6 +104,7 @@ std::vector<AdversaryPlan> adversary_plans() {
 
 std::string describe(const FaultPlan& f, const AdversaryPlan& a) {
     return "crash=" + std::to_string(f.crash_fraction) +
+           " loss=" + std::to_string(f.message_loss_prob) +
            " selection=" + std::to_string(static_cast<int>(f.crash_selection)) +
            " link_p=" + std::to_string(f.link_failure_prob) +
            " removal=" + std::to_string(f.edge_removal_prob) +

@@ -57,6 +57,7 @@ RoutingResult route_greedy_faulted(const GraphView& graph, const Objective& obje
     }
     std::vector<Vertex> scratch;  // advertised-neighbor merge buffer
     int streak = 0;  // consecutive all-improving-links-down epochs
+    std::uint64_t send_attempt = 0;  // message-loss key
     while (true) {
         // Arrival before budget (the boundary convention), budget
         // before any further decision: a wait-out hop that lands exactly on
@@ -115,7 +116,10 @@ RoutingResult route_greedy_faulted(const GraphView& graph, const Objective& obje
                 return result;
             }
         }
-        if (next != kNoVertex) {
+        // A chosen hop is sent once per epoch, and may be lost in flight:
+        // the loss draw comes after the choice, keyed by the route's
+        // send-attempt counter.
+        if (next != kNoVertex && !faults.message_lost(send_attempt++)) {
             streak = 0;
             result.path.push_back(next);
             // A forward along an advertised-but-nonexistent link is
@@ -134,8 +138,8 @@ RoutingResult route_greedy_faulted(const GraphView& graph, const Objective& obje
             }
             continue;
         }
-        // Every usable link is down this epoch: wait out one hop, give up
-        // after max_retries consecutive waits.
+        // Every usable link is down this epoch, or the send was lost: wait
+        // out one hop, give up after max_retries consecutive waits.
         if (streak >= faults.max_retries()) {
             result.status = RoutingStatus::kDeadEnd;
             return result;
@@ -508,6 +512,7 @@ RoutingResult route_impl(const GraphView& graph, const Objective& objective,
     std::vector<Vertex> adv_scratch;  // advertised-neighbor merge buffer
     bool pressure = false;
     double escape_value = 0.0;  // objective of the local optimum to beat
+    std::uint64_t send_attempt = 0;  // message-loss key
 
     Vertex current = source;
     while (true) {
@@ -616,15 +621,23 @@ RoutingResult route_impl(const GraphView& graph, const Objective& objective,
             }
             if (best_value > escape_value) pressure = false;
         }
-        if (faults.transient()) {
-            // Send chokepoint: the chosen move is retried verbatim while its
-            // link is down — a wait-out hop per epoch, charged against the
-            // budget — so the visit bookkeeping above runs once per decision.
-            // After max_retries consecutive waits the packet drops; a wait
-            // landing exactly on the budget reports kStepLimit instead.
+        if (faults.active()) {
+            // Send chokepoint: every attempt draws message loss (keyed by the
+            // route's send-attempt counter) and, under transient link faults,
+            // the link state of one epoch. The chosen move is retried
+            // verbatim — a wait-out hop per failed attempt, charged against
+            // the budget — so the visit bookkeeping above runs once per
+            // decision. After max_retries consecutive failures the packet
+            // drops; a retry landing exactly on the budget reports kStepLimit
+            // instead.
             int waits = 0;
-            while (!faults.link_up(current, next)) {
-                faults.advance_epoch();
+            for (;;) {
+                bool failed = faults.message_lost(send_attempt++);
+                if (faults.transient()) {
+                    if (!faults.link_up(current, next)) failed = true;
+                    faults.advance_epoch();
+                }
+                if (!failed) break;
                 if (waits >= faults.max_retries()) {
                     result.status = RoutingStatus::kDeadEnd;  // dropped in flight
                     return result;
@@ -636,7 +649,6 @@ RoutingResult route_impl(const GraphView& graph, const Objective& objective,
                     return result;
                 }
             }
-            faults.advance_epoch();
         }
         result.path.push_back(next);
         // A forward along an advertised-but-nonexistent link is swallowed;
@@ -851,11 +863,13 @@ private:
     }
 
     /// Appends a message move; false when the budget is exhausted or the
-    /// packet drops in flight. Under transient link faults this is the send
-    /// chokepoint: a down link parks the message for an epoch (a wait-out
-    /// hop charged against the budget) up to max_retries consecutive times,
-    /// then the packet is dropped. A wait landing exactly on the budget
-    /// reports kStepLimit — budget beats retry exhaustion.
+    /// packet drops in flight. Under faults this is the send chokepoint:
+    /// every attempt draws message loss (keyed by the route's send-attempt
+    /// counter) and, under transient link faults, the link state of one
+    /// epoch. A lost message or a down link parks the message for an epoch
+    /// (a wait-out hop charged against the budget) up to max_retries
+    /// consecutive times, then the packet is dropped. A wait landing exactly
+    /// on the budget reports kStepLimit — budget beats retry exhaustion.
     bool move_to(Vertex v) {
         const Vertex from = result_.path.back();
         if (adversary_.misroutes(from) && from != v) {
@@ -879,10 +893,15 @@ private:
             }
             v = worst;
         }
-        if (faults_.transient()) {
+        if (faults_.active()) {
             int waits = 0;
-            while (!faults_.link_up(from, v)) {
-                faults_.advance_epoch();
+            for (;;) {
+                bool failed = faults_.message_lost(send_attempt_++);
+                if (faults_.transient()) {
+                    if (!faults_.link_up(from, v)) failed = true;
+                    faults_.advance_epoch();
+                }
+                if (!failed) break;
                 if (waits >= faults_.max_retries()) {
                     result_.status = RoutingStatus::kDeadEnd;  // dropped in flight
                     return false;
@@ -894,7 +913,6 @@ private:
                     return false;
                 }
             }
-            faults_.advance_epoch();
         }
         result_.path.push_back(v);
         // A forward along an advertised-but-nonexistent link is swallowed;
@@ -930,6 +948,7 @@ private:
     std::priority_queue<Candidate> frontier_;
     mutable std::vector<double> scratch_;  // batched neighbor objectives
     mutable std::vector<Vertex> adv_scratch_;  // advertised-neighbor merges
+    std::uint64_t send_attempt_ = 0;  // message-loss key
     RoutingResult result_;
 };
 

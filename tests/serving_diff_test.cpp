@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -16,8 +17,10 @@
 #include "distributed/protocols.h"
 #include "distributed/serving.h"
 #include "girg/generator.h"
+#include "girg/hub_rows.h"
 #include "random/rng.h"
 #include "reference_serving.h"
+#include "test_scenarios.h"
 
 // Differential test of simulate_many (decide each walk, then replay the
 // event clock) against the event loop it replaced (reference_serving.h):
@@ -129,6 +132,12 @@ public:
     }
     [[nodiscard]] BestNeighbor best_of(std::span<const Vertex> vertices) const override {
         return base_.best_of(vertices);
+    }
+    // Forwarded, so the production side prunes hub rows as a plain
+    // GirgObjective does; the oracle's objectives hide it (FullScanObjective).
+    [[nodiscard]] BestNeighbor best_above(Vertex holder, std::span<const Vertex> row,
+                                          double floor) const override {
+        return base_.best_above(holder, row, floor);
     }
 
 private:
@@ -424,7 +433,8 @@ TEST_P(ServingDiff, MatchesThePreSplitEventLoopOnEveryField) {
         param.protocol == Proto::kGreedy ? static_cast<const DistributedProtocol&>(greedy)
                                          : phi_dfs;
     const TargetObjectiveFactory plain = [&girg](Vertex target) {
-        return std::make_unique<GirgObjective>(girg, target);
+        return std::make_unique<testing::FullScanObjective>(
+            std::make_unique<GirgObjective>(girg, target));
     };
     const ServingQuery single =
         param.adversary == Adversary::kLiars
@@ -480,6 +490,71 @@ TEST_P(ServingDiff, MatchesThePreSplitEventLoopOnEveryField) {
     if (param.adversary == Adversary::kMisroute) {
         EXPECT_GT(coverage.misroutes, 0u);
     }
+}
+
+/// Honest serving on an instance with hub rows (degree >= 256), where the
+/// production walk prunes its argmax and the oracle scans every row entry.
+TEST(ServingDiffHubs, PrunedDecisionsMatchThePreSplitEventLoop) {
+    GirgParams params = grid_params();
+    params.n = 1 << 14;
+    params.wmin = 2.0;
+    params.edge_scale = calibrated_edge_scale(params);
+    const Girg girg = generate_girg(params, 307);
+    const DistributedGreedy greedy;
+    const DistributedPhiDfs phi_dfs;
+    const TargetObjectiveFactory plain = [&girg](Vertex target) {
+        return std::make_unique<testing::FullScanObjective>(
+            std::make_unique<GirgObjective>(girg, target));
+    };
+    FactoryAudit audit;
+    const TargetObjectiveFactory audited = [&](Vertex target) {
+        return std::make_unique<AuditedObjective>(girg, target, audit);
+    };
+
+    // Zipf-shared targets, as the serving benchmark draws them.
+    Rng rng(308);
+    std::vector<Vertex> hot;
+    for (int r = 0; r < 8; ++r) {
+        hot.push_back(static_cast<Vertex>(rng.uniform_index(girg.num_vertices())));
+    }
+    std::vector<ServingQuery> queries;
+    for (std::size_t i = 0; i < 128; ++i) {
+        const std::size_t rank = std::min<std::size_t>(
+            hot.size() - 1, static_cast<std::size_t>(1.0 / (1.0 - 0.9 * rng.uniform())) - 1);
+        queries.push_back({static_cast<Vertex>(rng.uniform_index(girg.num_vertices())), hot[rank],
+                           static_cast<SimTime>(i / 8)});
+    }
+
+    std::size_t hub_wakes = 0;
+    for (const Latency& latency : latencies()) {
+        for (const std::size_t capacity : {0, 2}) {
+            for (const DistributedProtocol* protocol :
+                 {static_cast<const DistributedProtocol*>(&greedy),
+                  static_cast<const DistributedProtocol*>(&phi_dfs)}) {
+                ServingOptions options;
+                options.latency = latency.model;
+                options.positions = &girg.positions;
+                options.service_ticks = 1;
+                options.queue_capacity = capacity;
+                options.seed = 309;
+                options.routing.max_steps = 2000;  // Φ-DFS toward another component
+                const std::string where = std::string(latency.name) +
+                                          " capacity=" + std::to_string(capacity) + " " +
+                                          protocol->name();
+                const ServingResult expected =
+                    reference::simulate_many(girg.graph, plain, *protocol, queries, options);
+                const ServingResult actual =
+                    simulate_many(girg.graph, audited, *protocol, queries, options);
+                ASSERT_EQ(diff_serving(expected, actual), "") << where;
+                for (const DistributedResult& q : actual.queries) {
+                    for (const Vertex v : q.routing.path) {
+                        if (girg.graph.degree(v) >= HubRowSummary::kMinDegree) ++hub_wakes;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(hub_wakes, 100u) << "the walks must cross hub rows";
 }
 
 INSTANTIATE_TEST_SUITE_P(

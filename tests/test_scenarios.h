@@ -1,11 +1,13 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/fault.h"
+#include "core/objective.h"
 #include "core/router.h"
 #include "girg/girg.h"
 #include "girg/params.h"
@@ -54,6 +56,29 @@ public:
 private:
     Girg girg_;
     std::vector<Edge> edges_;
+};
+
+/// Forwards every entry of an objective but best_above, so a walk's argmax
+/// over it runs the default: the full scan of best_of, filtered by the
+/// floor. The reference a pruned argmax is checked against.
+class FullScanObjective final : public Objective {
+public:
+    explicit FullScanObjective(const Objective& base) : base_(&base) {}
+    explicit FullScanObjective(std::unique_ptr<Objective> owned)
+        : owned_(std::move(owned)), base_(owned_.get()) {}
+
+    [[nodiscard]] double value(Vertex v) const override { return base_->value(v); }
+    [[nodiscard]] Vertex target() const override { return base_->target(); }
+    void values(std::span<const Vertex> vertices, double* out) const override {
+        base_->values(vertices, out);
+    }
+    [[nodiscard]] BestNeighbor best_of(std::span<const Vertex> vertices) const override {
+        return base_->best_of(vertices);
+    }
+
+private:
+    std::unique_ptr<Objective> owned_;
+    const Objective* base_;
 };
 
 /// Runs `inner` with RoutingOptions::faults set to a FaultState built from
