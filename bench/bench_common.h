@@ -6,11 +6,14 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "core/annotations.h"
+#include "core/objective.h"
 #include "core/thread_pool.h"
 #include "experiments/memory.h"
 #include "experiments/runner.h"
@@ -150,5 +153,26 @@ inline GirgParams standard_params(double n, double beta, double alpha, double wm
     params.edge_scale = calibrated_edge_scale(params);
     return params;
 }
+
+/// Forwards everything but Objective::best_above, so a walk's argmax over
+/// it runs the default, the full scan of best_of filtered by the floor,
+/// afresh at every wake: the reference for the pruned argmax and the
+/// decisions GirgObjective remembers.
+class FullScanObjective final : public Objective {
+public:
+    explicit FullScanObjective(std::unique_ptr<Objective> base) : base_(std::move(base)) {}
+
+    [[nodiscard]] double value(Vertex v) const override { return base_->value(v); }
+    [[nodiscard]] Vertex target() const override { return base_->target(); }
+    void values(std::span<const Vertex> vertices, double* out) const override {
+        base_->values(vertices, out);
+    }
+    [[nodiscard]] BestNeighbor best_of(std::span<const Vertex> vertices) const override {
+        return base_->best_of(vertices);
+    }
+
+private:
+    std::unique_ptr<Objective> base_;
+};
 
 }  // namespace smallworld::bench

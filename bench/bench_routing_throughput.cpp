@@ -8,7 +8,8 @@
 //   Morton labels: SoA scalar kernels, AVX2 vector kernels, and AVX2 with
 //   the cohort-shared memo pool, all through GreedyRouter; then
 //   DistributedGreedy on the lockstep walk with the full scan (walk_full)
-//   and with the pruned argmax (walk_pruned)
+//   and with GirgObjective's argmax (walk_pruned), which prunes hub rows and
+//   remembers each holder's decision, so a target's sources share them
 //
 // on the *same physical graph and the same physical (s,t) pairs*, so the
 // measured separation is purely labels and evaluation, not the workload.
@@ -188,25 +189,6 @@ SweepWorkload relabel_workload(const SweepWorkload& plain, const Girg& relabeled
     }
     return out;
 }
-
-/// Forwards everything but Objective::best_above, so the walk's argmax
-/// runs the full scan of best_of: the walk_full cell.
-class FullScanObjective final : public Objective {
-public:
-    explicit FullScanObjective(std::unique_ptr<Objective> base) : base_(std::move(base)) {}
-
-    [[nodiscard]] double value(Vertex v) const override { return base_->value(v); }
-    [[nodiscard]] Vertex target() const override { return base_->target(); }
-    void values(std::span<const Vertex> vertices, double* out) const override {
-        base_->values(vertices, out);
-    }
-    [[nodiscard]] BestNeighbor best_of(std::span<const Vertex> vertices) const override {
-        return base_->best_of(vertices);
-    }
-
-private:
-    std::unique_ptr<Objective> base_;
-};
 
 /// Row entries a greedy query evaluates, per query, over the workload:
 /// the full scan reads every entry of every row it decides at; the pruned

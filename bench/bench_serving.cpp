@@ -13,11 +13,11 @@
 // rate, makespan (clock_end), event and wake counts, heap/queue high-water
 // marks and queue drops. simulate_many decides every walk target by target
 // (one objective alive at a time) and then replays the event clock, all on
-// the calling thread. Every cell still runs three times, with
-// ServingOptions::threads at 1/2/8 (which simulate_many ignores) and one
-// recycled memo pool, and the full results (statuses, paths, clocks,
-// per-node counters) are asserted bit-identical before anything is
-// written.
+// the calling thread. Every cell runs twice: with GirgObjective, whose
+// argmax prunes hub rows and remembers each holder's decision, and with
+// every argmax a full scan (FullScanObjective). The full results
+// (statuses, paths, telemetry, clocks, per-node counters) are asserted
+// equal before anything is written.
 //
 // `--sweep [output.json]` writes BENCH_serving.json; `--smoke` shrinks the
 // instance so CI can execute the full code path in seconds.
@@ -28,10 +28,12 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/fault.h"
+#include "core/objective.h"
 #include "distributed/protocols.h"
 #include "distributed/serving.h"
 #include "girg/phi_memo.h"
@@ -41,16 +43,20 @@
 namespace smallworld::bench {
 namespace {
 
-TargetObjectiveFactory factory_for(const Girg& girg) {
+/// `full_scan` hides GirgObjective's best_above, so every argmax scans the
+/// whole row afresh.
+TargetObjectiveFactory factory_for(const Girg& girg, bool full_scan = false) {
     // Cohort-shared memo pool: simulate_many builds one objective per
     // distinct target, one at a time; the pool recycles their memo tables
-    // across targets and cells so repeated sweeps skip the O(n) NaN refill.
+    // across targets so repeated batches skip the O(n) NaN refill.
     // Locked, and pure phi keeps results independent of pooling.
     const auto pool = std::make_shared<PhiMemoPool>();
-    return [&girg, pool](Vertex target) -> std::unique_ptr<Objective> {
+    return [&girg, pool, full_scan](Vertex target) -> std::unique_ptr<Objective> {
         PhiOptions options;
         options.pool = pool;
-        return std::make_unique<GirgObjective>(girg, target, options);
+        auto objective = std::make_unique<GirgObjective>(girg, target, options);
+        if (!full_scan) return objective;
+        return std::make_unique<FullScanObjective>(std::move(objective));
     };
 }
 
@@ -123,31 +129,6 @@ struct Cell {
     std::size_t queue_capacity = 0;
 };
 
-/// Order-sensitive fingerprint of everything a serving run produces; two
-/// runs agree on every query path/status and every telemetry counter iff
-/// their fingerprints match.
-std::uint64_t fingerprint(const ServingResult& result) {
-    std::uint64_t h = 0x5375626d6172696eULL;
-    for (const DistributedResult& q : result.queries) {
-        h = hash_combine(h, static_cast<std::uint64_t>(q.routing.status));
-        h = hash_combine(h, q.routing.retries);
-        for (const Vertex v : q.routing.path) h = hash_combine(h, v);
-        h = hash_combine(h, q.telemetry.wakes);
-        h = hash_combine(h, q.telemetry.queue_drops);
-    }
-    h = hash_combine(h, result.serving.clock_end);
-    h = hash_combine(h, result.serving.events_fired);
-    h = hash_combine(h, result.serving.heap_high_water);
-    h = hash_combine(h, result.serving.total_wakes);
-    h = hash_combine(h, result.serving.queue_drops);
-    for (const std::uint32_t w : result.serving.node_wakes) h = hash_combine(h, w);
-    for (const std::uint32_t w : result.serving.node_queue_high_water) {
-        h = hash_combine(h, w);
-    }
-    for (const SimTime t : result.serving.node_busy_ticks) h = hash_combine(h, t);
-    return h;
-}
-
 int run_sweep(const std::string& output_path, bool smoke) {
     BenchJson json(output_path, "SERVE_Serving/grid_sweep");
     if (!json.ok()) {
@@ -214,7 +195,7 @@ int run_sweep(const std::string& output_path, bool smoke) {
         double mean_hops_delivered = 0.0;
     };
     std::vector<Row> rows;
-    bool threads_identical = true;
+    bool identical = true;
 
     for (const Cell& cell : cells) {
         const LatencyModel* model = nullptr;
@@ -230,29 +211,17 @@ int run_sweep(const std::string& output_path, bool smoke) {
         options.queue_capacity = cell.queue_capacity;
         options.seed = 83003;
 
-        // The determinism contract, asserted cell by cell: identical full
-        // results on three runs with threads = 1, 2 and 8 (ignored by
-        // simulate_many). One factory across the three runs, so the
-        // pool-recycled memo tables are covered by the fingerprint identity.
-        const auto factory = factory_for(girg);
-        ServingResult result;
-        std::uint64_t fp = 0;
-        bool first = true;
-        for (const unsigned threads : {1u, 2u, 8u}) {
-            options.threads = threads;
-            ServingResult run = simulate_many(girg.graph, factory, greedy, queries, options);
-            const std::uint64_t run_fp = fingerprint(run);
-            if (first) {
-                result = std::move(run);
-                fp = run_fp;
-                first = false;
-            } else if (run_fp != fp) {
-                std::cerr << "sweep: FATAL: " << cell.latency << " q="
-                          << cell.in_flight << " faulted=" << cell.faulted
-                          << " cap=" << cell.queue_capacity
-                          << " changed outcomes at " << threads << " threads\n";
-                threads_identical = false;
-            }
+        // The argmax contract, asserted cell by cell: pruned and remembered
+        // decisions give the full result the full scan gives. A faulted
+        // cell's rows are residual, so both runs scan them in full.
+        const ServingResult result =
+            simulate_many(girg.graph, factory_for(girg), greedy, queries, options);
+        if (simulate_many(girg.graph, factory_for(girg, true), greedy, queries, options) !=
+            result) {
+            std::cerr << "sweep: FATAL: " << cell.latency << " q=" << cell.in_flight
+                      << " faulted=" << cell.faulted << " cap=" << cell.queue_capacity
+                      << " differs from the full-scan run\n";
+            identical = false;
         }
 
         Row row;
@@ -286,7 +255,20 @@ int run_sweep(const std::string& output_path, bool smoke) {
                   << " peak_queue=" << row.max_queue_depth << "\n";
         rows.push_back(row);
     }
-    if (!threads_identical) return 1;
+    {
+        // The grid's targets are uniform, so its queries seldom share an
+        // objective. Here every target is one of 8, so most wakes answer
+        // from a remembered decision, and the result must match too.
+        auto queries = make_queries(girg, in_flight.back(), 82004);
+        for (ServingQuery& q : queries) q.target = q.target % 8 * (girg.num_vertices() / 8);
+        const DistributedGreedy greedy;
+        if (simulate_many(girg.graph, factory_for(girg), greedy, queries) !=
+            simulate_many(girg.graph, factory_for(girg, true), greedy, queries)) {
+            std::cerr << "sweep: FATAL: the shared-target batch differs from the full-scan run\n";
+            identical = false;
+        }
+    }
+    if (!identical) return 1;
 
     json.field("smoke", smoke ? 1.0 : 0.0);
     json.field("n", static_cast<double>(n));
@@ -302,7 +284,7 @@ int run_sweep(const std::string& output_path, bool smoke) {
     json.field("message_loss_prob", plan.message_loss_prob);
     json.field("link_failure_prob", plan.link_failure_prob);
     json.field("crash_fraction", plan.crash_fraction);
-    json.field("outcomes_identical_across_threads", 1.0);
+    json.field("outcomes_identical_to_full_scan", 1.0);
 
     std::ostringstream series;
     series << "[\n";

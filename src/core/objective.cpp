@@ -30,9 +30,28 @@ BestNeighbor GirgObjective::best_above(Vertex holder, std::span<const Vertex> ro
     const Graph& graph = girg_->graph;
     // The span *is* holder's row of girg.graph only if it starts there: a
     // residual, advertised or decoded row lives in other storage.
-    if (row.size() >= HubRowSummary::kMinDegree && holder < graph.num_vertices() &&
-        graph.num_vertices() == girg_->num_vertices() &&
-        row.data() == graph.neighbors(holder).data() && row.size() == graph.degree(holder)) {
+    if (holder >= graph.num_vertices() || graph.num_vertices() != girg_->num_vertices() ||
+        row.data() != graph.neighbors(holder).data() || row.size() != graph.degree(holder)) {
+        return Objective::best_above(holder, row, floor);
+    }
+    if (decisions_graph_ != graph.identity()) {
+        decisions_ = {};
+        decisions_graph_ = graph.identity();
+    }
+    const auto [known, fresh] = decisions_.insert(holder);
+    if (!fresh) {
+        if (known->vertex != kNoVertex) return known->value > floor ? *known : BestNeighbor{};
+        if (floor >= known->value) return {};
+    }
+    const BestNeighbor best = decide(holder, row, floor);
+    *known = best.vertex != kNoVertex ? best : BestNeighbor{kNoVertex, floor};
+    return best;
+}
+
+BestNeighbor GirgObjective::decide(Vertex holder, std::span<const Vertex> row,
+                                   double floor) const {
+    if (row.size() >= HubRowSummary::kMinDegree) {
+        const Graph& graph = girg_->graph;
         if (hubs_ == nullptr || !hubs_->built_from(graph, evaluator_.soa())) {
             hubs_ = girg_->hub_rows();
         }

@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "core/vertex_table.h"
 #include "girg/girg.h"
 #include "girg/hub_rows.h"
 #include "girg/phi_evaluator.h"
@@ -21,11 +22,11 @@ namespace smallworld {
 /// v's address (position, weight) and the target's position — the locality
 /// property the paper emphasizes.
 ///
-/// Concurrency contract: objectives may memoize per-vertex values behind a
-/// const interface (GirgObjective and friends do), so a single instance must
-/// not be shared across threads. Construct one objective per worker; phi is
-/// a pure function of the vertex attributes, so independent instances for
-/// the same target always agree.
+/// Concurrency contract: objectives may memoize per-vertex values and, in
+/// GirgObjective, per-holder argmax decisions behind a const interface, so
+/// a single instance must not be shared across threads. Construct one
+/// objective per worker; phi is a pure function of the vertex attributes,
+/// so independent instances for the same target always agree.
 class Objective {
 public:
     virtual ~Objective() = default;
@@ -90,19 +91,35 @@ public:
     [[nodiscard]] Vertex target() const override { return evaluator_.target(); }
     void values(std::span<const Vertex> vertices, double* out) const override;
     [[nodiscard]] BestNeighbor best_of(std::span<const Vertex> vertices) const override;
-    /// Pruned (girg/hub_rows.h) when `row` is `holder`'s own row of
-    /// girg.graph and has degree >= HubRowSummary::kMinDegree: the row a
-    /// lockstep walk sees under an inactive regime on a resident view. Any
-    /// other row (a residual or advertised row, a pack's, a short one) gets
-    /// the full scan. The summary is fetched on the first pruned call, so
-    /// an objective that never prunes never builds or locks for it.
+    /// When `row` is `holder`'s own row of girg.graph (the row a lockstep
+    /// walk sees under an inactive regime on a resident view), the answer
+    /// is decided once per holder and remembered: the argmax is a function
+    /// of (holder, floor) alone. A found neighbor is the row's first
+    /// maximizer and answers every floor; "none above f" answers every
+    /// floor >= f. The decisions are dropped when girg.graph's identity
+    /// changes. A decision on a row of degree >= HubRowSummary::kMinDegree
+    /// is pruned (girg/hub_rows.h); the summary is fetched on the first
+    /// pruned call, so an objective that never prunes never builds or
+    /// locks for it. Any other row (a residual or advertised row, a
+    /// pack's) gets the full scan and is never remembered.
     [[nodiscard]] BestNeighbor best_above(Vertex holder, std::span<const Vertex> row,
                                           double floor) const override;
 
+    /// Holders whose decision this objective remembers.
+    [[nodiscard]] std::size_t decided_holders() const noexcept { return decisions_.size(); }
+
 private:
+    /// best_above over `holder`'s own row, not remembered.
+    [[nodiscard]] BestNeighbor decide(Vertex holder, std::span<const Vertex> row,
+                                      double floor) const;
+
     PhiEvaluator evaluator_;
     const Girg* girg_;
     mutable std::shared_ptr<const HubRowSummary> hubs_;  // fetched on first use
+    /// Per holder: the first maximizer and its value, or {kNoVertex, f}
+    /// when no entry beats the floor f it was decided at.
+    mutable VertexTable<BestNeighbor> decisions_;
+    mutable std::uint64_t decisions_graph_ = 0;  ///< Graph::identity they hold for
 };
 
 /// Degree-agnostic geometric objective 1/||xv - xt|| (torus L-infinity) —

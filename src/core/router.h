@@ -41,6 +41,8 @@ struct RoutingResult {
     }
     /// Number of distinct vertices visited (the exploration footprint).
     [[nodiscard]] std::size_t distinct_vertices() const;
+
+    bool operator==(const RoutingResult&) const = default;
 };
 
 struct RoutingOptions {

@@ -91,8 +91,9 @@ public:
     /// {kNoVertex, 0.0} when none does. It is Objective::best_above: the
     /// first-maximum argmax every router of the paper uses, filtered. Under
     /// an inactive regime on a resident view the visible row is the graph's
-    /// own, and GirgObjective skips the blocks of a hub's row that cannot
-    /// beat the floor or the best so far.
+    /// own: GirgObjective then remembers each holder's decision, and skips
+    /// the blocks of a hub's row that cannot beat the floor or the best so
+    /// far.
     [[nodiscard]] BestNeighbor best(double floor) const;
 
     /// Objective of this node or one of its neighbors. Evaluating any other
@@ -168,11 +169,15 @@ struct SimulationTelemetry {
     // counts forwards where a byzantine holder overrode the protocol.
     std::size_t audit_flags = 0;         ///< phantom swallows + blackhole drops
     std::size_t misroutes_observed = 0;  ///< byzantine forwarding overrides
+
+    bool operator==(const SimulationTelemetry&) const = default;
 };
 
 struct DistributedResult {
     RoutingResult routing;
     SimulationTelemetry telemetry;
+
+    bool operator==(const DistributedResult&) const = default;
 };
 
 /// Runs a protocol under the distributed model. Forwards to non-neighbors

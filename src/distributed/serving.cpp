@@ -8,19 +8,21 @@
 #include <vector>
 
 #include "core/check.h"
+#include "core/vertex_table.h"
 #include "distributed/queue.h"
 
 namespace smallworld {
 
 namespace {
 
-/// Mutable per-node serving state; drained into ServingTelemetry at the end.
+/// Mutable serving state of one woken node; scattered into
+/// ServingTelemetry's per-node vectors at the end.
 struct NodeState {
     NodeQueue queue;
     SimTime next_free = 0;  ///< first tick the node can serve again
     SimTime busy_ticks = 0;
     std::uint32_t wakes = 0;
-    bool wake_scheduled = false;  ///< exactly one pending kWake per busy node
+    bool wake_scheduled = false;  ///< exactly one pending wake per busy node
 };
 
 /// Protocol wakes of a decided walk: every wake is one on_wake call or one
@@ -79,11 +81,31 @@ ServingResult simulate_many(const GraphView& graph, const TargetObjectiveFactory
     }
 
     // Phase 2, time. Each wake reads its decided outcome: wake k of a query
-    // forwards to path[k + 1] with send index k, and its last wake ends it
-    // (a hop it put on the path may have been swallowed). Every push happens
-    // where a wake that ran the protocol would make it, so the event order,
-    // salts and send keys are those of the event model (DESIGN.md §10).
-    std::vector<NodeState> nodes(n);
+    // is at path[k], forwards to path[k + 1] with send index k, and its last
+    // wake ends it (a hop it put on the path may have been swallowed). Every
+    // push happens where a wake that ran the protocol would make it, so the
+    // event order, salts and send keys are those of the event model
+    // (DESIGN.md §10). Only the nodes of decided wakes ever hold a message,
+    // so serving state is kept for them alone, numbered in order of first
+    // wake: stops[first_stop[i] + k] is the number of query i's wake k.
+    VertexTable<std::uint32_t> number_of;
+    std::vector<Vertex> woken;
+    std::vector<std::uint32_t> stops;
+    std::vector<std::size_t> first_stop(queries.size());
+    for (QueryId i = 0; i < queries.size(); ++i) {
+        first_stop[i] = stops.size();
+        const DistributedResult& run = out.queries[i];
+        for (std::size_t k = 0; k < decided_wakes(run); ++k) {
+            const auto [number, fresh] = number_of.insert(run.routing.path[k]);
+            if (fresh) {
+                *number = static_cast<std::uint32_t>(woken.size());
+                woken.push_back(run.routing.path[k]);
+            }
+            stops.push_back(*number);
+        }
+    }
+
+    std::vector<NodeState> nodes(woken.size());
     if (bounded) {
         for (NodeState& node : nodes) node.queue.set_capacity(options.queue_capacity);
     }
@@ -95,7 +117,7 @@ ServingResult simulate_many(const GraphView& graph, const TargetObjectiveFactory
     // scheduled (lockstep parity).
     for (QueryId i = 0; i < queries.size(); ++i) {
         if (decided_wakes(out.queries[i]) == 0) continue;
-        events.push(queries[i].start_time, EventKind::kArrival, queries[i].source, i);
+        events.inject(queries[i].start_time, stops[first_stop[i]], i);
     }
 
     while (!events.empty()) {
@@ -104,7 +126,8 @@ ServingResult simulate_many(const GraphView& graph, const TargetObjectiveFactory
         out.serving.clock_end = e.time;
         NodeState& node = nodes[e.node];
 
-        if (e.kind == EventKind::kArrival) {
+        if (e.query != kNoQuery) {
+            // An arrival.
             if (!node.queue.push(e.query, links)) {
                 // Full inbound queue: the landing message is refused and the
                 // query dies where it stood (the packet is the query), with
@@ -119,14 +142,13 @@ ServingResult simulate_many(const GraphView& graph, const TargetObjectiveFactory
                 continue;
             }
             if (!node.wake_scheduled) {
-                events.push(std::max(e.time, node.next_free), EventKind::kWake, e.node,
-                            kNoQuery);
+                events.push(std::max(e.time, node.next_free), e.node, kNoQuery);
                 node.wake_scheduled = true;
             }
             continue;
         }
 
-        // kWake: serve exactly one queued message, then go busy for the
+        // A wake: serve exactly one queued message, then go busy for the
         // service interval.
         node.wake_scheduled = false;
         const QueryId qid = node.queue.pop(links);
@@ -142,12 +164,12 @@ ServingResult simulate_many(const GraphView& graph, const TargetObjectiveFactory
             const Vertex next = run.routing.path[wake + 1];
             const std::uint64_t send_key = (static_cast<std::uint64_t>(qid) << 32) |
                                            static_cast<std::uint32_t>(wake);
-            events.push(e.time + latency.delay(e.node, next, send_key), EventKind::kArrival,
-                        next, qid);
+            events.push(e.time + latency.delay(woken[e.node], next, send_key),
+                        stops[first_stop[qid] + wake + 1], qid);
         }
 
         if (!node.queue.empty()) {
-            events.push(node.next_free, EventKind::kWake, e.node, kNoQuery);
+            events.push(node.next_free, e.node, kNoQuery);
             node.wake_scheduled = true;
         }
     }
@@ -162,8 +184,9 @@ ServingResult simulate_many(const GraphView& graph, const TargetObjectiveFactory
     out.serving.node_queue_high_water.resize(n);
     out.serving.node_queue_drops.resize(n);
     out.serving.node_busy_ticks.resize(n);
-    for (std::size_t v = 0; v < n; ++v) {
-        const NodeState& node = nodes[v];
+    for (std::size_t k = 0; k < woken.size(); ++k) {
+        const NodeState& node = nodes[k];
+        const Vertex v = woken[k];
         out.serving.node_wakes[v] = node.wakes;
         out.serving.node_queue_high_water[v] =
             static_cast<std::uint32_t>(node.queue.high_water());

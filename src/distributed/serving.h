@@ -27,8 +27,11 @@ namespace smallworld {
 /// A run decides, then times. Only the message holder is awake and it
 /// decides from its own view and the packet, so a query's walk never
 /// depends on other queries: phase 1 walks every query to completion on
-/// the lockstep walk, target by target, and phase 2 replays the walks
-/// through the event clock (arrivals, queues, service, latency, drops).
+/// the lockstep walk, target by target, with one objective per target
+/// that remembers each holder's decision (GirgObjective::best_above), and
+/// phase 2 replays the walks through the event clock (arrivals, queues,
+/// service, latency, drops), keeping state only for the nodes the walks
+/// wake.
 
 /// One routing request: route a message from `source` to `target`, injected
 /// into the source's inbound queue at `start_time`.
@@ -42,7 +45,9 @@ struct ServingQuery {
 /// per *distinct* target of the batch, one call at a time on the calling
 /// thread, in ascending target order; each objective is destroyed before
 /// the next is built, and all of its evaluation runs on the calling thread
-/// too. So at most one objective (and one memo table) is alive at a time.
+/// too. So at most one objective (one memo table, one table of remembered
+/// decisions) is alive at a time, and every query toward a target shares
+/// its objective's decisions.
 using TargetObjectiveFactory = std::function<std::unique_ptr<Objective>(Vertex target)>;
 
 struct ServingOptions {
@@ -90,6 +95,8 @@ struct ServingTelemetry {
     std::vector<std::uint32_t> node_queue_high_water;
     std::vector<std::uint32_t> node_queue_drops;
     std::vector<SimTime> node_busy_ticks;
+
+    bool operator==(const ServingTelemetry&) const = default;
 };
 
 struct ServingResult {
@@ -105,6 +112,8 @@ struct ServingResult {
         }
         return count;
     }
+
+    bool operator==(const ServingResult&) const = default;
 };
 
 /// Runs the whole batch to completion under the discrete-event model and

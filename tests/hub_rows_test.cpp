@@ -3,21 +3,30 @@
 // over the whole row, whatever the target, the floor, the dimension, the
 // norm and the kernel. Row-level cases place the target on box edges and
 // corners, inside boxes, in the row, and a hair outside extremes that are
-// not floats; GIRG-level cases compare whole lockstep walks.
+// not floats; GIRG-level cases compare whole lockstep walks. The
+// DecisionCache cases check the answers GirgObjective remembers per holder
+// the same way, and which rows it remembers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
+#include "core/adversary.h"
+#include "core/fault.h"
 #include "core/objective.h"
 #include "core/phi_dfs.h"
 #include "core/router.h"
@@ -27,11 +36,13 @@
 #include "girg/generator.h"
 #include "girg/girg.h"
 #include "girg/hub_rows.h"
+#include "girg/pack_io.h"
 #include "girg/params.h"
 #include "girg/phi_evaluator.h"
 #include "girg/phi_soa.h"
 #include "graph/components.h"
 #include "graph/graph.h"
+#include "graph/packed_graph.h"
 #include "random/rng.h"
 #include "test_scenarios.h"
 
@@ -556,8 +567,9 @@ TEST(PrunedArgmax, GirgWalksMatchTheFullScan) {
 }
 
 /// A summary built for one graph is never used on the rows of a same-size
-/// graph assigned in its place: the objective that built it, and a new one,
-/// both answer for the new rows.
+/// graph assigned in its place, and neither are the decisions an objective
+/// made on the old rows: the objective that built the summary and decided
+/// on the old rows, and a new one, both answer for the new rows.
 TEST(PrunedArgmax, AssignedGraphGetsAFreshSummary) {
     Girg girg = generate_girg(standard(1 << 14), 71);
     // The same vertices with other edges: a same-size graph.
@@ -569,34 +581,50 @@ TEST(PrunedArgmax, AssignedGraphGetsAFreshSummary) {
         return kNoVertex;
     };
     const Vertex target = 12345;
+    // Hubs of either graph, and vertices of every degree.
+    std::vector<Vertex> holders;
+    for (std::size_t k = 0; k < 6; ++k) {
+        for (const Graph* graph : {static_cast<const Graph*>(&girg.graph), &other}) {
+            if (const Vertex hub = hub_of(*graph, k); hub != kNoVertex) holders.push_back(hub);
+        }
+    }
+    for (Vertex v = 0; v < 200; ++v) holders.push_back(v * 80);
     const GirgObjective early(girg, target);
-    const Vertex first = hub_of(girg.graph, 0);
-    ASSERT_NE(first, kNoVertex);
-    (void)early.best_above(first, girg.graph.neighbors(first), -kInf);  // builds the summary
+    ASSERT_NE(hub_of(girg.graph, 0), kNoVertex);
+    std::vector<BestNeighbor> old_answers;
+    for (const Vertex holder : holders) {
+        // Builds the summary, and decides every holder on the old rows.
+        old_answers.push_back(early.best_above(holder, girg.graph.neighbors(holder), -kInf));
+    }
+    EXPECT_EQ(early.decided_holders(), std::set<Vertex>(holders.begin(), holders.end()).size());
     const std::shared_ptr<const HubRowSummary> before = girg.hub_rows();
 
     girg.graph = other;  // same n, other rows
     EXPECT_NE(girg.hub_rows(), before);
     const GirgObjective late(girg, target);
     const FullScanObjective full(std::make_unique<GirgObjective>(girg, target));
-    std::size_t checked = 0;
-    for (std::size_t k = 0; k < 6; ++k) {
-        const Vertex hub = hub_of(girg.graph, k);
-        if (hub == kNoVertex) break;
-        const std::span<const Vertex> row = girg.graph.neighbors(hub);
-        const BestNeighbor want = full.best_above(hub, row, -kInf);
+    std::size_t changed = 0;
+    std::size_t hubs = 0;
+    for (std::size_t i = 0; i < holders.size(); ++i) {
+        const Vertex holder = holders[i];
+        const std::span<const Vertex> row = girg.graph.neighbors(holder);
+        const BestNeighbor want = full.best_above(holder, row, -kInf);
+        if (want.vertex != old_answers[i].vertex) ++changed;
+        if (row.size() >= HubRowSummary::kMinDegree) ++hubs;
         for (const GirgObjective* objective : {&early, &late}) {
-            const BestNeighbor got = objective->best_above(hub, row, -kInf);
-            EXPECT_EQ(got.vertex, want.vertex) << "hub " << hub;
-            EXPECT_EQ(bits(got.value), bits(want.value)) << "hub " << hub;
+            const BestNeighbor got = objective->best_above(holder, row, -kInf);
+            EXPECT_EQ(got.vertex, want.vertex) << "holder " << holder;
+            EXPECT_EQ(bits(got.value), bits(want.value)) << "holder " << holder;
         }
-        ++checked;
     }
-    EXPECT_GT(checked, 2u);
+    EXPECT_GT(hubs, 2u);
+    EXPECT_GT(changed, 50u) << "the new rows must change many answers";
 }
 
 /// Four threads build objectives on one Girg and race the first pruned
-/// argmax, which builds the summary once for all of them.
+/// argmax, which builds the summary once for all of them. Each objective
+/// then answers every row again, hubs and short rows, from the decisions
+/// it remembers.
 TEST(PrunedArgmax, ConcurrentFirstPrunesBuildOneSummary) {
     const Girg girg = generate_girg(standard(1 << 14), 73);
     std::vector<Vertex> hubs;
@@ -604,16 +632,19 @@ TEST(PrunedArgmax, ConcurrentFirstPrunesBuildOneSummary) {
         if (girg.graph.degree(v) >= HubRowSummary::kMinDegree) hubs.push_back(v);
     }
     ASSERT_FALSE(hubs.empty());
+    std::vector<Vertex> holders = hubs;
+    for (Vertex v = 1; v < girg.num_vertices(); v += 97) holders.push_back(v);
     constexpr int kThreads = 4;
     std::vector<Vertex> targets{10, 2000, 7000, 15000};
     std::vector<std::vector<BestNeighbor>> want(kThreads);
     for (int i = 0; i < kThreads; ++i) {
         const FullScanObjective full(std::make_unique<GirgObjective>(girg, targets[i]));
-        for (const Vertex hub : hubs) {
-            want[i].push_back(full.best_above(hub, girg.graph.neighbors(hub), -kInf));
+        for (const Vertex holder : holders) {
+            want[i].push_back(full.best_above(holder, girg.graph.neighbors(holder), -kInf));
         }
     }
     std::vector<std::vector<BestNeighbor>> got(kThreads);
+    std::vector<std::size_t> decided(kThreads);
     std::atomic<int> ready{0};
     std::vector<std::thread> threads;
     for (int i = 0; i < kThreads; ++i) {
@@ -622,20 +653,158 @@ TEST(PrunedArgmax, ConcurrentFirstPrunesBuildOneSummary) {
             ready.fetch_add(1);
             while (ready.load() < kThreads) {
             }
-            for (const Vertex hub : hubs) {
-                got[i].push_back(objective.best_above(hub, girg.graph.neighbors(hub), -kInf));
+            for (int pass = 0; pass < 2; ++pass) {
+                for (const Vertex holder : holders) {
+                    got[i].push_back(
+                        objective.best_above(holder, girg.graph.neighbors(holder), -kInf));
+                }
             }
+            decided[i] = objective.decided_holders();
         });
     }
     for (std::thread& thread : threads) thread.join();
     for (int i = 0; i < kThreads; ++i) {
-        ASSERT_EQ(got[i].size(), want[i].size());
-        for (std::size_t k = 0; k < hubs.size(); ++k) {
-            EXPECT_EQ(got[i][k].vertex, want[i][k].vertex);
-            EXPECT_EQ(bits(got[i][k].value), bits(want[i][k].value));
+        ASSERT_EQ(got[i].size(), 2 * want[i].size());
+        for (std::size_t k = 0; k < got[i].size(); ++k) {
+            EXPECT_EQ(got[i][k].vertex, want[i][k % holders.size()].vertex);
+            EXPECT_EQ(bits(got[i][k].value), bits(want[i][k % holders.size()].value));
         }
+        EXPECT_EQ(decided[i], holders.size());
     }
     EXPECT_EQ(girg.hub_rows()->rows(), hubs.size());
+}
+
+// ------------------------------------------------------ decision cache
+
+/// One GirgObjective serves 128 sources of one target, as a serving batch's
+/// objective does, with DistributedGreedy and Φ-DFS taking turns on it, so
+/// the floors phi(holder) and -inf interleave at the holders they share.
+/// Every walk equals the walk decided by full scans.
+TEST(DecisionCache, SharedObjectiveWalksMatchTheFullScan) {
+    const DistributedGreedy greedy;
+    const DistributedPhiDfs phi_dfs;
+    const Girg girg = generate_girg(standard(1 << 15), 4101);
+    const Components components = connected_components(girg.graph);
+    const Vertex n = girg.num_vertices();
+    Rng rng(4102);
+    Vertex target = kNoVertex;
+    while (target == kNoVertex || !components.in_giant(target)) {
+        target = static_cast<Vertex>(rng.uniform_index(n));
+    }
+    const GirgObjective cached(girg, target);
+    const FullScanObjective full(std::make_unique<GirgObjective>(girg, target));
+    RoutingOptions options;
+    options.max_steps = 20000;
+    std::size_t wakes = 0;
+    std::size_t hub_wakes = 0;
+    std::size_t dfs_walks = 0;
+    for (int i = 0; i < 128; ++i) {
+        const auto s = static_cast<Vertex>(rng.uniform_index(n));
+        const std::string where = "s=" + std::to_string(s);
+        const DistributedResult want = simulate_routing(girg.graph, full, greedy, s);
+        expect_same_walk(want, simulate_routing(girg.graph, cached, greedy, s),
+                         "greedy " + where);
+        wakes += want.telemetry.wakes;
+        for (const Vertex v : want.routing.path) {
+            if (girg.graph.degree(v) >= HubRowSummary::kMinDegree) ++hub_wakes;
+        }
+        if (!components.same_component(s, target)) continue;
+        const DistributedResult want_dfs =
+            simulate_routing(girg.graph, full, phi_dfs, s, options);
+        expect_same_walk(want_dfs, simulate_routing(girg.graph, cached, phi_dfs, s, options),
+                         "phi-dfs " + where);
+        wakes += want_dfs.telemetry.wakes;
+        ++dfs_walks;
+    }
+    EXPECT_GT(dfs_walks, 32u);
+    EXPECT_GT(hub_wakes, 64u) << "the walks must cross hub rows";
+    EXPECT_GT(cached.decided_holders(), 0u);
+    EXPECT_LT(2 * cached.decided_holders(), wakes) << "most wakes must reuse a decision";
+}
+
+/// Only the holder's own row of girg.graph is remembered, at any degree: an
+/// advertised row (phantom links added), a residual row (dead links taken
+/// out) and a pack's rows are decided afresh every time, whichever comes
+/// first, and so are the walks of an active regime.
+TEST(DecisionCache, RemembersOnlyTheHoldersOwnRows) {
+    const Girg girg = generate_girg(standard(1 << 14), 4201);
+    const Vertex target = 777;
+    const FullScanObjective full(std::make_unique<GirgObjective>(girg, target));
+    std::vector<Vertex> holders;
+    for (Vertex v = 0; v < girg.num_vertices() && holders.size() < 40; v += 13) {
+        if (v != target && girg.graph.degree(v) >= 2) holders.push_back(v);
+    }
+    for (Vertex v = 0; v < girg.num_vertices(); ++v) {
+        if (girg.graph.degree(v) >= HubRowSummary::kMinDegree) holders.push_back(v);
+    }
+    std::size_t short_rows = 0;
+    for (const Vertex holder : holders) {
+        const std::span<const Vertex> own = girg.graph.neighbors(holder);
+        if (own.size() < HubRowSummary::kMinDegree) ++short_rows;
+        // Advertised: the row plus a phantom link to the target, which wins.
+        std::vector<Vertex> advertised(own.begin(), own.end());
+        advertised.insert(std::upper_bound(advertised.begin(), advertised.end(), target),
+                          target);
+        // Residual: the row without its best entry.
+        const BestNeighbor best = full.best_above(holder, own, -kInf);
+        std::vector<Vertex> residual;
+        for (const Vertex u : own) {
+            if (u != best.vertex) residual.push_back(u);
+        }
+        const std::vector<Vertex> copy(own.begin(), own.end());
+        const std::vector<std::span<const Vertex>> others{advertised, residual, copy};
+        const double floor = full.value(holder);
+        for (const bool own_first : {true, false}) {
+            const GirgObjective objective(girg, target);
+            const auto check = [&](std::span<const Vertex> row, const char* which) {
+                for (const double f : {-kInf, floor}) {
+                    const BestNeighbor want = full.best_above(holder, row, f);
+                    const BestNeighbor got = objective.best_above(holder, row, f);
+                    EXPECT_EQ(got.vertex, want.vertex) << which << " row of " << holder;
+                    EXPECT_EQ(bits(got.value), bits(want.value)) << which << " row of " << holder;
+                }
+            };
+            if (own_first) check(own, "own");
+            for (const std::span<const Vertex> row : others) check(row, "other");
+            EXPECT_EQ(objective.decided_holders(), own_first ? 1u : 0u) << holder;
+            check(own, "own");
+            EXPECT_EQ(objective.decided_holders(), 1u) << holder;
+        }
+    }
+    EXPECT_GT(short_rows, 30u);
+
+    // Walks whose rows are not girg.graph's: a raw pack's mmap'd rows, a
+    // fault plan's residual rows, an adversary's claimed objective.
+    const std::string path = ::testing::TempDir() + std::to_string(::getpid()) + "_cache.girgpack";
+    (void)write_girg_pack(path, girg, {false, 4201});
+    const PackedGraph pack(path);
+    FaultPlan plan;
+    plan.seed = 4202;
+    plan.link_failure_prob = 0.05;
+    const FaultState faults(girg.graph, plan);
+    AdversaryPlan liars;
+    liars.seed = 4203;
+    liars.byzantine_fraction = 0.05;
+    liars.weight_lie_factor = 4.0;
+    const AdversaryState adversary(girg.graph, liars, girg.weights);
+    const DistributedGreedy greedy;
+    Rng rng(4204);
+    const GirgObjective objective(girg, target);
+    for (int i = 0; i < 64; ++i) {
+        const auto s = static_cast<Vertex>(rng.uniform_index(girg.num_vertices()));
+        expect_same_walk(simulate_routing(girg.graph, full, greedy, s),
+                         simulate_routing(pack.view(), objective, greedy, s), "pack");
+        RoutingOptions faulted;
+        faulted.faults = &faults;
+        expect_same_walk(simulate_routing(girg.graph, full, greedy, s, faulted),
+                         simulate_routing(girg.graph, objective, greedy, s, faulted), "faults");
+        RoutingOptions lied;
+        lied.adversary = &adversary;
+        expect_same_walk(simulate_routing(girg.graph, full, greedy, s, lied),
+                         simulate_routing(girg.graph, objective, greedy, s, lied), "liars");
+    }
+    EXPECT_EQ(objective.decided_holders(), 0u);
+    std::remove(path.c_str());
 }
 
 }  // namespace

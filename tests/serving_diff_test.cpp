@@ -14,6 +14,7 @@
 #include "core/adversary.h"
 #include "core/fault.h"
 #include "core/phi_dfs.h"
+#include "distributed/event.h"
 #include "distributed/protocols.h"
 #include "distributed/serving.h"
 #include "girg/generator.h"
@@ -555,6 +556,98 @@ TEST(ServingDiffHubs, PrunedDecisionsMatchThePreSplitEventLoop) {
         }
     }
     EXPECT_GT(hub_wakes, 100u) << "the walks must cross hub rows";
+}
+
+// ------------------------------------------------------------ event queue
+
+/// The production queue (a heap for pushed events, a backlog for injected
+/// ones) against the oracle's copy of the queue it replaced (one heap for
+/// every event), through random interleavings of bulk injections, pushes
+/// and pops: the same events pop in the same order, and the high water and
+/// the schedule count agree after every step. Times are drawn from the
+/// current tick and the next three, so pushes at the current tick and equal
+/// times across the backlog and the heap are common; every round drains
+/// both queues, so the next round's first schedules follow a drain.
+TEST(EventQueueTest, PopsInTheOrderOfTheQueueItReplaced) {
+    std::size_t cross_ties = 0;      // consecutive equal-time pops, one per store
+    std::size_t current_tick = 0;    // schedules at the last popped time
+    std::size_t after_drain = 0;     // schedules onto a drained queue
+    for (std::uint64_t trial = 0; trial < 64; ++trial) {
+        Rng rng(700 + trial);
+        EventQueue queue(trial);
+        reference::EventQueue oracle(trial);
+        std::vector<bool> injected;  // by schedule number (the oracle's seq)
+        SimTime now = 0;
+        const auto schedule = [&](bool inject) {
+            const SimTime time = now + rng.uniform_index(4);
+            const auto node = static_cast<std::uint32_t>(rng.uniform_index(16));
+            const QueryId query =
+                rng.uniform_index(3) == 0 ? kNoQuery : static_cast<QueryId>(rng.uniform_index(64));
+            if (time == now) ++current_tick;
+            if (queue.empty()) ++after_drain;
+            if (inject) {
+                queue.inject(time, node, query);
+            } else {
+                queue.push(time, node, query);
+            }
+            oracle.push(time,
+                        query == kNoQuery ? reference::EventKind::kWake
+                                          : reference::EventKind::kArrival,
+                        node, query);
+            injected.push_back(inject);
+        };
+        bool last_injected = false;
+        SimTime last_time = 0;
+        bool popped = false;
+        const auto pop = [&] {
+            ASSERT_FALSE(oracle.empty());
+            const Event got = queue.pop();
+            const reference::Event want = oracle.pop();
+            ASSERT_EQ(got.time, want.time);
+            ASSERT_EQ(got.salt, want.salt);
+            ASSERT_EQ(got.node, want.node);
+            ASSERT_EQ(got.query, want.query);
+            ASSERT_EQ(want.kind == reference::EventKind::kWake, got.query == kNoQuery);
+            if (popped && want.time == last_time && injected[want.seq] != last_injected) {
+                ++cross_ties;
+            }
+            popped = true;
+            last_time = want.time;
+            last_injected = injected[want.seq];
+            now = want.time;
+        };
+        const auto agree = [&] {
+            ASSERT_EQ(queue.empty(), oracle.empty());
+            ASSERT_EQ(queue.size(), oracle.size());
+            ASSERT_EQ(queue.high_water(), oracle.high_water());
+            ASSERT_EQ(queue.scheduled(), oracle.scheduled());
+        };
+        for (int round = 0; round < 4; ++round) {
+            // A batch's injections first, then a random mix.
+            const std::size_t batch = rng.uniform_index(48);
+            for (std::size_t i = 0; i < batch; ++i) schedule(true);
+            ASSERT_NO_FATAL_FAILURE(agree());
+            for (int step = 0; step < 200; ++step) {
+                const std::uint64_t op = rng.uniform_index(16);
+                if (op == 0) {
+                    const std::size_t bulk = rng.uniform_index(24);
+                    for (std::size_t i = 0; i < bulk; ++i) schedule(true);
+                } else if (op < 7) {
+                    schedule(false);
+                } else if (!oracle.empty()) {
+                    ASSERT_NO_FATAL_FAILURE(pop());
+                }
+                ASSERT_NO_FATAL_FAILURE(agree());
+            }
+            while (!oracle.empty()) {
+                ASSERT_NO_FATAL_FAILURE(pop());
+                ASSERT_NO_FATAL_FAILURE(agree());
+            }
+        }
+    }
+    EXPECT_GT(cross_ties, 100u);
+    EXPECT_GT(current_tick, 1000u);
+    EXPECT_GT(after_drain, 100u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

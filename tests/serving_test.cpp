@@ -47,8 +47,7 @@ TEST(EventQueueTest, PopsInTimeOrderAndTracksHighWater) {
     EventQueue q(11);
     const SimTime times[] = {5, 1, 9, 1, 3, 9, 0, 7};
     for (std::size_t i = 0; i < 8; ++i) {
-        q.push(times[i], EventKind::kArrival, static_cast<Vertex>(i),
-               static_cast<QueryId>(i));
+        q.push(times[i], static_cast<std::uint32_t>(i), static_cast<QueryId>(i));
     }
     EXPECT_EQ(q.size(), 8u);
     EXPECT_EQ(q.high_water(), 8u);
@@ -65,10 +64,9 @@ TEST(EventQueueTest, SameTimeOrderIsAPureFunctionOfSeed) {
     const auto drain = [](std::uint64_t seed) {
         EventQueue q(seed);
         for (std::uint32_t i = 0; i < 32; ++i) {
-            q.push(7, EventKind::kArrival, static_cast<Vertex>(i),
-                   static_cast<QueryId>(i));
+            q.push(7, i, static_cast<QueryId>(i));
         }
-        std::vector<Vertex> order;
+        std::vector<std::uint32_t> order;
         while (!q.empty()) order.push_back(q.pop().node);
         return order;
     };
@@ -396,26 +394,29 @@ void expect_serving_identical(const ServingResult& a, const ServingResult& b) {
     EXPECT_EQ(a.serving.node_queue_high_water, b.serving.node_queue_high_water);
     EXPECT_EQ(a.serving.node_queue_drops, b.serving.node_queue_drops);
     EXPECT_EQ(a.serving.node_busy_ticks, b.serving.node_busy_ticks);
+    EXPECT_TRUE(a == b) << "the full results differ";
+}
+
+/// Every objective's argmax a full scan, decided afresh at every wake.
+TargetObjectiveFactory full_scan_factory(const Girg& girg) {
+    return [&girg](Vertex target) -> std::unique_ptr<Objective> {
+        return std::make_unique<testing::FullScanObjective>(
+            std::make_unique<GirgObjective>(girg, target));
+    };
 }
 
 TEST(ServingDeterminism, BitIdenticalAcrossThreadCounts) {
-    const Girg girg = generate_girg(serving_params(1.5), 71);
-    FaultPlan plan;
-    plan.seed = 72;
-    plan.message_loss_prob = 0.1;
-    const FaultState faults(girg.graph, plan);
-    const DistributedGreedy greedy;
-    Rng rng(73);
-    std::vector<ServingQuery> queries;
-    for (int i = 0; i < 150; ++i) {
-        queries.push_back(
-            {static_cast<Vertex>(rng.uniform_index(girg.num_vertices())),
-             static_cast<Vertex>(rng.uniform_index(girg.num_vertices())),
-             static_cast<SimTime>(i % 7)});
-    }
-    const auto run = [&](unsigned threads) {
+    // simulate_many runs on the calling thread whatever `threads` says, so
+    // its runs must agree. The faulted batch's rows are residual, so none of
+    // its decisions is remembered. The honest batch shares 8 targets on an
+    // instance with hub rows, so most of its wakes answer from a decision
+    // its objective remembers, and it must also agree with the batch whose
+    // every argmax is a full scan.
+    const auto run = [](const Girg& girg, const std::vector<ServingQuery>& queries,
+                        const FaultState* faults, unsigned threads,
+                        const TargetObjectiveFactory& factory) {
         ServingOptions options;
-        options.routing.faults = &faults;
+        options.routing.faults = faults;
         options.latency.kind = LatencyKind::kSeededJitter;
         options.latency.base_ticks = 1;
         options.latency.jitter_ticks = 4;
@@ -424,12 +425,43 @@ TEST(ServingDeterminism, BitIdenticalAcrossThreadCounts) {
         options.queue_capacity = 4;
         options.seed = 75;
         options.threads = threads;
-        return simulate_many(girg.graph, girg_factory(girg), greedy, queries, options);
+        return simulate_many(girg.graph, factory, DistributedGreedy{}, queries, options);
     };
-    const auto one = run(1);
-    expect_serving_identical(one, run(1));  // same-thread reruns
-    expect_serving_identical(one, run(2));
-    expect_serving_identical(one, run(8));
+    {
+        const Girg girg = generate_girg(serving_params(1.5), 71);
+        FaultPlan plan;
+        plan.seed = 72;
+        plan.message_loss_prob = 0.1;
+        const FaultState faults(girg.graph, plan);
+        Rng rng(73);
+        std::vector<ServingQuery> queries;
+        for (int i = 0; i < 150; ++i) {
+            queries.push_back(
+                {static_cast<Vertex>(rng.uniform_index(girg.num_vertices())),
+                 static_cast<Vertex>(rng.uniform_index(girg.num_vertices())),
+                 static_cast<SimTime>(i % 7)});
+        }
+        const auto one = run(girg, queries, &faults, 1, girg_factory(girg));
+        expect_serving_identical(one, run(girg, queries, &faults, 1, girg_factory(girg)));
+        expect_serving_identical(one, run(girg, queries, &faults, 2, girg_factory(girg)));
+        expect_serving_identical(one, run(girg, queries, &faults, 8, girg_factory(girg)));
+    }
+    GirgParams params = serving_params(2.0);
+    params.n = 1 << 13;
+    params.edge_scale = calibrated_edge_scale(params);
+    const Girg girg = generate_girg(params, 76);
+    Rng rng(77);
+    std::vector<ServingQuery> queries;
+    for (int i = 0; i < 150; ++i) {
+        queries.push_back({static_cast<Vertex>(rng.uniform_index(girg.num_vertices())),
+                           static_cast<Vertex>(rng.uniform_index(8) * 1000),
+                           static_cast<SimTime>(i % 7)});
+    }
+    const auto one = run(girg, queries, nullptr, 1, girg_factory(girg));
+    expect_serving_identical(one, run(girg, queries, nullptr, 2, girg_factory(girg)));
+    expect_serving_identical(one, run(girg, queries, nullptr, 8, girg_factory(girg)));
+    expect_serving_identical(one, run(girg, queries, nullptr, 1, full_scan_factory(girg)));
+    EXPECT_GT(one.delivered(), 10u);
 }
 
 TEST(ServingObjectives, FactoryRunsOnTheCallingThreadOneTargetAtATime) {
