@@ -1,5 +1,8 @@
 #include "girg/pack_io.h"
 
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <utility>
@@ -84,14 +87,28 @@ Girg load_pack_attributes(const PackedGraph& pack) {
     GIRG_CHECK(pack.has_params(), "pack has no params section to rehydrate from");
     GIRG_CHECK(pack.has_attributes(), "pack has no attribute sections to rehydrate from");
     Girg girg;
-    girg.params = from_packed_params(pack.params());
+    const PackedParams packed = pack.params();
+    // The checks read_girg (girg/io.h) runs on a text instance.
+    GIRG_CHECK(packed.norm <= static_cast<std::uint32_t>(Norm::kEuclidean), "pack norm ",
+               packed.norm, " is not a Norm");
+    girg.params = from_packed_params(packed);
+    girg.params.validate();
     const auto weights = pack.weights();
     const auto coords = pack.coords();
+    GIRG_CHECK(coords.size() == weights.size() * static_cast<std::size_t>(girg.params.dim),
+               "pack attribute sections disagree with the vertex count");
+    for (const double weight : weights) {
+        GIRG_CHECK(std::isfinite(weight) && weight >= girg.params.wmin, "pack weight ", weight,
+                   " is not finite or below wmin");
+    }
+    for (const double coord : coords) {
+        // NaN fails the interval test too.
+        GIRG_CHECK(coord >= 0.0 && coord < 1.0, "pack coordinate ", coord,
+                   " lies outside the torus");
+    }
     girg.weights.assign(weights.begin(), weights.end());
     girg.positions.dim = girg.params.dim;
     girg.positions.coords.assign(coords.begin(), coords.end());
-    GIRG_CHECK(girg.positions.count() == pack.num_vertices(),
-               "pack attribute sections disagree with the vertex count");
     // Routing reads the copies; the mapped pages behind them need not stay
     // resident.
     pack.release_pages(pack.section(PackSection::kWeights));

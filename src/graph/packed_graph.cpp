@@ -27,6 +27,30 @@ static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
     return (offset + 7) & ~std::uint64_t{7};
 }
 
+/// GraphView::decode_row with every bound checked: vertex v's `degree`
+/// neighbors from blob[begin, end), each varint ending inside the block
+/// within 5 bytes, each id below n. The unchecked decode of a block that
+/// passes yields the same row.
+void decode_checked(std::span<const std::uint8_t> blob, std::uint64_t begin,
+                    std::uint64_t end, std::uint64_t degree, std::uint64_t v, std::uint64_t n,
+                    std::vector<Vertex>& row) {
+    row.clear();
+    std::uint64_t at = begin;
+    for (std::uint64_t i = 0; i < degree; ++i) {
+        std::uint64_t value = 0;
+        for (int shift = 0;; shift += 7) {
+            GIRG_CHECK(at < end && shift < 35, "pack blob block ", v,
+                       " ends inside a varint or holds one longer than 5 bytes");
+            const std::uint8_t byte = blob[at++];
+            value |= std::uint64_t{byte & 0x7FU} << shift;
+            if ((byte & 0x80U) == 0) break;
+        }
+        const std::uint64_t id = i == 0 ? value : std::uint64_t{row.back()} + value + 1;
+        GIRG_CHECK(id < n, "pack row ", v, " neighbor ", id, " >= n=", n);
+        row.push_back(static_cast<Vertex>(id));
+    }
+}
+
 }  // namespace
 
 PackWriter::PackWriter(const std::string& path, Vertex num_vertices,
@@ -240,16 +264,28 @@ void PackedGraph::open(const std::string& path) {
     for (const PackSectionEntry& entry : table_) {
         GIRG_CHECK(entry.offset % 8 == 0, "pack section ", entry.kind,
                    " misaligned at offset ", entry.offset);
-        GIRG_CHECK(entry.offset >= table_end && entry.offset + entry.bytes <= size,
+        GIRG_CHECK(entry.offset >= table_end && entry.offset <= size &&
+                       entry.bytes <= size - entry.offset,
                    "pack section ", entry.kind, " out of bounds");
     }
 
+    // O(n) structure, so that every row a view reads lies inside its
+    // section and fits a decode buffer of max_degree entries; the rows'
+    // contents are verify()'s.
     const std::uint64_t n = header_->num_vertices;
     const auto off = section(PackSection::kOffsets);
     GIRG_CHECK(off.size() == (n + 1) * 8, "pack offsets section has ", off.size(),
                " bytes, expected ", (n + 1) * 8);
-    GIRG_CHECK(offsets().front() == 0 && offsets().back() == header_->num_arcs,
+    const auto offsets = this->offsets();
+    GIRG_CHECK(offsets.front() == 0 && offsets.back() == header_->num_arcs,
                "pack offsets endpoints disagree with the header arc count");
+    std::uint64_t max_degree = 0;
+    for (std::uint64_t v = 0; v < n; ++v) {
+        GIRG_CHECK(offsets[v] <= offsets[v + 1], "pack offsets not monotone at vertex ", v);
+        max_degree = std::max<std::uint64_t>(max_degree, offsets[v + 1] - offsets[v]);
+    }
+    GIRG_CHECK(max_degree == header_->max_degree, "pack max_degree header field ",
+               header_->max_degree, " != measured ", max_degree);
     if (compressed()) {
         const auto index = section(PackSection::kBlobIndex);
         const auto blob = section(PackSection::kAdjacencyBlob);
@@ -258,9 +294,13 @@ void PackedGraph::open(const std::string& path) {
         const auto* idx = reinterpret_cast<const std::uint64_t*>(index.data());
         GIRG_CHECK(idx[0] == 0 && idx[n] == blob.size(),
                    "pack blob index endpoints disagree with the blob section");
+        for (std::uint64_t v = 0; v < n; ++v) {
+            GIRG_CHECK(idx[v] <= idx[v + 1], "pack blob index not monotone at vertex ", v);
+        }
     } else {
-        GIRG_CHECK(section(PackSection::kAdjacencyRaw).size() ==
-                       header_->num_arcs * sizeof(Vertex),
+        const auto raw = section(PackSection::kAdjacencyRaw);
+        GIRG_CHECK(raw.size() % sizeof(Vertex) == 0 &&
+                       raw.size() / sizeof(Vertex) == header_->num_arcs,
                    "pack raw adjacency bytes disagree with the header arc count");
     }
     if (has_params()) {
@@ -270,8 +310,9 @@ void PackedGraph::open(const std::string& path) {
     if (has_attributes()) {
         GIRG_CHECK(section(PackSection::kWeights).size() == n * sizeof(double),
                    "pack weights section has the wrong size");
-        GIRG_CHECK(!section(PackSection::kPositions).empty() &&
-                       section(PackSection::kPositions).size() % (n * sizeof(double)) == 0,
+        const std::size_t positions = section(PackSection::kPositions).size();
+        GIRG_CHECK(n == 0 ? positions == 0
+                          : positions != 0 && positions % (n * sizeof(double)) == 0,
                    "pack positions section has the wrong size");
     }
 }
@@ -357,41 +398,38 @@ GraphView PackedGraph::view(NeighborScratch& scratch) const {
 void PackedGraph::verify() const {
     const std::uint64_t n = header_->num_vertices;
     const auto off = offsets();
-    std::uint32_t max_degree = 0;
-    for (std::uint64_t v = 0; v < n; ++v) {
-        GIRG_CHECK(off[v] <= off[v + 1], "pack offsets not monotone at vertex ", v);
-        max_degree = std::max(max_degree, static_cast<std::uint32_t>(off[v + 1] - off[v]));
-    }
-    GIRG_CHECK(max_degree == header_->max_degree, "pack max_degree header field ",
-               header_->max_degree, " != measured ", max_degree);
-
-    NeighborScratch scratch;
-    const GraphView graph = view(scratch);
-    const std::uint64_t* index =
-        compressed() ? reinterpret_cast<const std::uint64_t*>(
-                           section(PackSection::kBlobIndex).data())
-                     : nullptr;
+    const auto blob = section(PackSection::kAdjacencyBlob);
+    const auto* index = reinterpret_cast<const std::uint64_t*>(
+        section(PackSection::kBlobIndex).data());
+    const auto* raw =
+        reinterpret_cast<const Vertex*>(section(PackSection::kAdjacencyRaw).data());
+    FingerprintAccumulator fingerprint;
+    if (has_attributes()) fingerprint.add_attributes(weights(), coords());
+    std::vector<Vertex> row;
     std::vector<std::uint8_t> block;
     for (std::uint64_t v = 0; v < n; ++v) {
-        const auto row = graph.neighbors(static_cast<Vertex>(v));
-        GIRG_CHECK(row.size() == off[v + 1] - off[v], "pack row ", v,
-                   " degree disagrees with the offset table");
+        if (compressed()) {
+            decode_checked(blob, index[v], index[v + 1], off[v + 1] - off[v], v, n, row);
+            // The block must be the row's canonical encoding, no byte more.
+            block.clear();
+            pack_encode_row(block, row);
+            GIRG_CHECK(block.size() == index[v + 1] - index[v], "pack blob block ", v,
+                       " has ", index[v + 1] - index[v], " bytes, canonical encode is ",
+                       block.size());
+        } else {
+            row.assign(raw + off[v], raw + off[v + 1]);
+        }
         for (std::size_t i = 0; i < row.size(); ++i) {
             GIRG_CHECK(row[i] < n, "pack row ", v, " neighbor ", row[i], " >= n=", n);
             GIRG_CHECK(row[i] != v, "pack row ", v, " contains a self-loop");
             GIRG_CHECK(i == 0 || row[i] > row[i - 1], "pack row ", v,
                        " not strictly increasing at entry ", i);
         }
-        if (index != nullptr) {
-            // Re-measure the block: the decode must consume exactly the
-            // bytes the index assigns to v (no trailing garbage).
-            block.clear();
-            pack_encode_row(block, row);
-            GIRG_CHECK(block.size() == index[v + 1] - index[v], "pack blob block ", v,
-                       " has ", index[v + 1] - index[v], " bytes, canonical encode is ",
-                       block.size());
-        }
+        fingerprint.add_row(row);
     }
+    GIRG_CHECK(!has_attributes() || fingerprint.value() == header_->fingerprint,
+               "pack fingerprint mismatch: header records ", header_->fingerprint,
+               ", sections hash to ", fingerprint.value());
 }
 
 PackFileInfo PackedGraph::info() const noexcept {

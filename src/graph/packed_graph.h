@@ -198,14 +198,17 @@ private:
     std::vector<PackSectionEntry> sections_;  // fixed at ctor except byte counts
 };
 
-/// A memory-mapped `.girgpack`. Opening validates the header, endianness,
-/// version and section table bounds via GIRG_CHECK — O(section count), no
-/// pass over the adjacency, so cold load is mmap-speed. verify() is the
-/// deep structural scan (offsets monotone, rows sorted/in-range, degrees
-/// and max_degree consistent) that `girg-pack verify` and the format tests
-/// run. The mapping is read-only and shared: any number of threads may read
-/// concurrently; compressed-row decoding stays thread-private through
-/// per-view NeighborScratch.
+/// A memory-mapped `.girgpack`. Opening validates via GIRG_CHECK what keeps
+/// every row read in bounds, in O(n) and without touching the adjacency:
+/// header, endianness, version, section bounds and sizes, monotone offsets
+/// and blob index, and max_degree equal to the largest degree. verify() is
+/// the rest of the trust check (DESIGN.md §13): every row decoded with
+/// bounds checks, sorted, in range and canonically encoded, and the header
+/// fingerprint recomputed when the attributes are present. Until verify()
+/// has passed, a compressed row's bytes are not known to decode inside
+/// their block. The mapping is read-only and shared: any number of threads
+/// may read concurrently; compressed-row decoding stays thread-private
+/// through per-view NeighborScratch.
 class PackedGraph {
 public:
     PackedGraph() = default;
@@ -257,9 +260,10 @@ public:
     /// both variants — a raw pack ignores the scratch.
     [[nodiscard]] GraphView view(NeighborScratch& scratch) const;
 
-    /// Deep structural verification (GIRG_CHECK aborts on violation):
-    /// monotone offsets, sorted strictly-increasing in-range rows, degree
-    /// and max_degree consistency, blob index exactly consumed.
+    /// The deep check (GIRG_CHECK aborts on violation): every row decoded
+    /// inside its block, strictly increasing, in range and self-loop-free,
+    /// each compressed block exactly its row's canonical encoding, and the
+    /// header fingerprint equal to the sections' when attributes are present.
     void verify() const;
 
     /// Bytes actually spent on adjacency storage (raw arcs, or blob plus

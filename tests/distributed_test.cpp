@@ -12,7 +12,7 @@
 #include "distributed/protocols.h"
 #include "girg/generator.h"
 #include "graph/components.h"
-#include "reference_routers.h"
+#include "oracles.h"
 #include "test_scenarios.h"
 
 namespace smallworld {
@@ -134,8 +134,8 @@ TEST(DistributedGreedyTest, PathsMatchCentralizedRouter) {
 
 TEST(DistributedPhiDfsTest, PathsMatchCentralizedRouter) {
     // The strongest check in this suite: the message-passing Phi-DFS must
-    // take the *identical* walk as the centralized state machine kept as
-    // the oracle (tests/reference_routers.*), including all backtracking,
+    // take the *identical* walk as the oracle written from Algorithm 2
+    // (tests/oracles.*), including all backtracking,
     // on sparse graphs with many dead ends — honestly, and under crashes,
     // link outages, edge removals, message loss and misrouting,
     // phantom-advertising liars.

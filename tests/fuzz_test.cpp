@@ -18,7 +18,7 @@
 #include "graph/bfs.h"
 #include "graph/components.h"
 #include "random/rng.h"
-#include "reference_routers.h"
+#include "oracles.h"
 
 namespace smallworld {
 namespace {
@@ -134,8 +134,8 @@ TEST(Fuzz, ProtocolsUnderTies) {
 }
 
 TEST(Fuzz, DistributedPhiDfsMatchesCentralizedOnRandomGraphs) {
-    // The centralized state machine is the oracle's (tests/reference_routers.*):
-    // PhiDfsRouter itself now runs the node-local handler.
+    // The oracle is Algorithm 2 written from the paper (tests/oracles.*);
+    // PhiDfsRouter runs the node-local handler on the lockstep walk.
     Rng rng(0xCAFE);
     const reference::PhiDfsRouter centralized;
     const DistributedPhiDfs distributed;

@@ -9,10 +9,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -415,10 +418,11 @@ TEST(PackOutOfCore, SpilledRunsMergeToTheSameBytes) {
 using PackDeathTest = ::testing::Test;
 
 std::string write_corrupt_copy(const std::string& name,
-                               const std::function<void(std::vector<std::uint8_t>&)>& mutate) {
+                               const std::function<void(std::vector<std::uint8_t>&)>& mutate,
+                               bool compress = false) {
     const Girg girg = generate_girg(pack_params(300), 2);
     const std::string path = temp_pack_path(name);
-    (void)write_girg_pack(path, girg, {false, 2});
+    (void)write_girg_pack(path, girg, {compress, 2});
     std::vector<std::uint8_t> bytes = read_file(path);
     mutate(bytes);
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
@@ -472,9 +476,9 @@ TEST(PackDeathTest, WrongEndiannessIsRejected) {
 }
 
 TEST(PackDeathTest, CorruptAdjacencyFailsDeepVerify) {
-    // Open-time validation is O(sections) by design, so a flipped neighbor
-    // id inside the adjacency only dies in verify() — the deep scan exists
-    // exactly for this.
+    // Open-time validation never reads the adjacency, so a flipped neighbor
+    // id inside it only dies in verify() — the deep scan exists exactly for
+    // this.
     const std::string path = write_corrupt_copy(
         "badrow.girgpack", [](std::vector<std::uint8_t>& bytes) {
             bytes[bytes.size() - 2] = 0xFF;  // clobber the last raw arc
@@ -483,6 +487,151 @@ TEST(PackDeathTest, CorruptAdjacencyFailsDeepVerify) {
     const PackedGraph pack(path);
     EXPECT_DEATH(pack.verify(), "row");
     std::remove(path.c_str());
+}
+
+template <class T>
+T load(const std::vector<std::uint8_t>& bytes, std::size_t at) {
+    T value;
+    std::memcpy(&value, bytes.data() + at, sizeof(T));
+    return value;
+}
+
+template <class T>
+void store(std::vector<std::uint8_t>& bytes, std::size_t at, T value) {
+    std::memcpy(bytes.data() + at, &value, sizeof(T));
+}
+
+/// Byte position of section `kind`'s entry in the section table.
+std::size_t entry_at(const std::vector<std::uint8_t>& bytes, PackSection kind) {
+    const auto count = load<std::uint32_t>(bytes, offsetof(PackHeader, section_count));
+    for (std::uint32_t i = 0; i < count; ++i) {
+        const std::size_t at = sizeof(PackHeader) + i * sizeof(PackSectionEntry);
+        if (load<std::uint32_t>(bytes, at) == static_cast<std::uint32_t>(kind)) return at;
+    }
+    ADD_FAILURE() << "no section " << static_cast<int>(kind);
+    return 0;
+}
+
+/// Byte position of section `kind`'s contents.
+std::size_t section_at(const std::vector<std::uint8_t>& bytes, PackSection kind) {
+    return load<std::uint64_t>(bytes, entry_at(bytes, kind) + offsetof(PackSectionEntry, offset));
+}
+
+TEST(PackDeathTest, UnderstatedMaxDegreeIsRejectedAtOpen) {
+    // A decode buffer is sized to the header's max_degree, so a longer row
+    // would be decoded past its end.
+    const std::string path = write_corrupt_copy(
+        "short_max_degree.girgpack",
+        [](std::vector<std::uint8_t>& bytes) {
+            const std::size_t at = offsetof(PackHeader, max_degree);
+            store(bytes, at, load<std::uint32_t>(bytes, at) - 1);
+        },
+        true);
+    EXPECT_DEATH({ PackedGraph pack(path); }, "max_degree");
+    std::remove(path.c_str());
+}
+
+TEST(PackDeathTest, NonMonotoneOffsetsAreRejectedAtOpen) {
+    // Row 1 would start past where row 2 starts, and a row's span would
+    // reach outside the adjacency section.
+    const std::string path = write_corrupt_copy(
+        "nonmonotone.girgpack", [](std::vector<std::uint8_t>& bytes) {
+            const std::size_t at = section_at(bytes, PackSection::kOffsets);
+            store(bytes, at + 8, load<std::uint64_t>(bytes, at + 16) + 1);
+        });
+    EXPECT_DEATH({ PackedGraph pack(path); }, "not monotone");
+    std::remove(path.c_str());
+}
+
+TEST(PackDeathTest, EmptyPackWithPositionsIsRejectedAtOpen) {
+    // n = 0 with a non-empty positions section: the size check must not
+    // divide by n.
+    const std::string path = write_corrupt_copy(
+        "empty_with_positions.girgpack", [](std::vector<std::uint8_t>& bytes) {
+            store(bytes, offsetof(PackHeader, num_vertices), std::uint64_t{0});
+            store(bytes, offsetof(PackHeader, num_arcs), std::uint64_t{0});
+            store(bytes, offsetof(PackHeader, max_degree), std::uint32_t{0});
+            const std::size_t bytes_field = offsetof(PackSectionEntry, bytes);
+            store(bytes, entry_at(bytes, PackSection::kOffsets) + bytes_field, std::uint64_t{8});
+            store(bytes, entry_at(bytes, PackSection::kAdjacencyRaw) + bytes_field,
+                  std::uint64_t{0});
+            store(bytes, entry_at(bytes, PackSection::kWeights) + bytes_field, std::uint64_t{0});
+        });
+    EXPECT_DEATH({ PackedGraph pack(path); }, "positions");
+    std::remove(path.c_str());
+}
+
+TEST(PackDeathTest, WrappingSectionBoundsAreRejectedAtOpen) {
+    // offset + bytes wraps past 2^64 to below the file size.
+    const std::string path = write_corrupt_copy(
+        "wrapping.girgpack", [](std::vector<std::uint8_t>& bytes) {
+            store(bytes,
+                  entry_at(bytes, PackSection::kPositions) + offsetof(PackSectionEntry, bytes),
+                  ~std::uint64_t{7});
+        });
+    EXPECT_DEATH({ PackedGraph pack(path); }, "out of bounds");
+    std::remove(path.c_str());
+}
+
+TEST(PackDeathTest, EndlessVarintFailsDeepVerify) {
+    // Every byte of the longest block has its continuation bit set: the
+    // first varint neither ends inside the block nor within 5 bytes.
+    const std::string path = write_corrupt_copy(
+        "endless_varint.girgpack",
+        [](std::vector<std::uint8_t>& bytes) {
+            const std::size_t index = section_at(bytes, PackSection::kBlobIndex);
+            const std::size_t blob = section_at(bytes, PackSection::kAdjacencyBlob);
+            const auto n = load<std::uint64_t>(bytes, offsetof(PackHeader, num_vertices));
+            std::uint64_t longest = 0;
+            for (std::uint64_t v = 1; v < n; ++v) {
+                const auto size = [&](std::uint64_t u) {
+                    return load<std::uint64_t>(bytes, index + 8 * (u + 1)) -
+                           load<std::uint64_t>(bytes, index + 8 * u);
+                };
+                if (size(v) > size(longest)) longest = v;
+            }
+            const auto begin = load<std::uint64_t>(bytes, index + 8 * longest);
+            const auto end = load<std::uint64_t>(bytes, index + 8 * (longest + 1));
+            ASSERT_GE(end - begin, 6U);
+            std::fill(bytes.begin() + static_cast<std::ptrdiff_t>(blob + begin),
+                      bytes.begin() + static_cast<std::ptrdiff_t>(blob + end), 0xFF);
+        },
+        true);
+    const PackedGraph pack(path);
+    EXPECT_DEATH(pack.verify(), "varint");
+    std::remove(path.c_str());
+}
+
+TEST(PackDeathTest, FingerprintMismatchFailsDeepVerify) {
+    // The last mantissa bit of the first weight: every structural check
+    // passes, and only the header fingerprint tells.
+    const std::string path = write_corrupt_copy(
+        "fingerprint.girgpack", [](std::vector<std::uint8_t>& bytes) {
+            bytes[section_at(bytes, PackSection::kWeights)] ^= 1;
+        });
+    const PackedGraph pack(path);
+    EXPECT_DEATH(pack.verify(), "fingerprint");
+    std::remove(path.c_str());
+}
+
+TEST(PackDeathTest, AttributesOutsideTheModelAreRejectedOnLoad) {
+    // The checks read_girg runs on a text instance: weights at least wmin
+    // (2 here), coordinates inside the torus.
+    const std::string light = write_corrupt_copy(
+        "light_weight.girgpack", [](std::vector<std::uint8_t>& bytes) {
+            store(bytes, section_at(bytes, PackSection::kWeights), 1.0);
+        });
+    const PackedGraph light_pack(light);
+    EXPECT_DEATH((void)load_pack_attributes(light_pack), "wmin");
+    const std::string outside = write_corrupt_copy(
+        "nan_coordinate.girgpack", [](std::vector<std::uint8_t>& bytes) {
+            store(bytes, section_at(bytes, PackSection::kPositions),
+                  std::numeric_limits<double>::quiet_NaN());
+        });
+    const PackedGraph outside_pack(outside);
+    EXPECT_DEATH((void)load_pack_attributes(outside_pack), "torus");
+    std::remove(light.c_str());
+    std::remove(outside.c_str());
 }
 
 // ------------------------------------------------------------------ routing

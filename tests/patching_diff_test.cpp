@@ -17,13 +17,13 @@
 #include "core/vertex_table.h"
 #include "girg/generator.h"
 #include "random/rng.h"
-#include "reference_routers.h"
+#include "oracles.h"
 #include "test_scenarios.h"
 
-// Differential test of the optimized routers against the straightforward
-// implementations they replaced (reference_routers.h): every RoutingResult
-// (status, path, retries) must match exactly, for every router, fault plan
-// and adversary plan.
+// Differential test of the optimized routers against the oracles written
+// from the paper's pseudocode (oracles.h): every RoutingResult (status,
+// path, retries) must match exactly, for every router, fault plan and
+// adversary plan, the honest cells included.
 
 namespace smallworld {
 namespace {

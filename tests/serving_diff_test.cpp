@@ -20,11 +20,11 @@
 #include "girg/generator.h"
 #include "girg/hub_rows.h"
 #include "random/rng.h"
-#include "reference_serving.h"
-#include "test_scenarios.h"
+#include "oracles.h"
 
 // Differential test of simulate_many (decide each walk, then replay the
-// event clock) against the event loop it replaced (reference_serving.h):
+// event clock) against the event model written from DESIGN.md §10
+// (oracles.h), which runs its own greedy and Φ-DFS steps inside each wake:
 // every per-query field, every ServingTelemetry counter and every per-node
 // vector must match exactly, across protocols, latency models, service
 // intervals, queue bounds, fault plans, adversary plans and batch shapes.
@@ -135,7 +135,7 @@ public:
         return base_.best_of(vertices);
     }
     // Forwarded, so the production side prunes hub rows as a plain
-    // GirgObjective does; the oracle's objectives hide it (FullScanObjective).
+    // GirgObjective does; the oracle reads value() alone.
     [[nodiscard]] BestNeighbor best_above(Vertex holder, std::span<const Vertex> row,
                                           double floor) const override {
         return base_.best_above(holder, row, floor);
@@ -232,7 +232,6 @@ std::vector<Cell> cells(const Girg& girg, const FaultState* faults,
                     options.service_ticks = service;
                     options.queue_capacity = capacity;
                     options.seed = 306 + out.size();
-                    options.threads = 1;  // the oracle's set-up fan-out
                     out.push_back(std::move(cell));
                 }
             }
@@ -433,9 +432,11 @@ TEST_P(ServingDiff, MatchesThePreSplitEventLoopOnEveryField) {
     const DistributedProtocol& protocol =
         param.protocol == Proto::kGreedy ? static_cast<const DistributedProtocol&>(greedy)
                                          : phi_dfs;
+    const reference::Protocol oracle_protocol = param.protocol == Proto::kGreedy
+                                                    ? reference::Protocol::kGreedy
+                                                    : reference::Protocol::kPhiDfs;
     const TargetObjectiveFactory plain = [&girg](Vertex target) {
-        return std::make_unique<testing::FullScanObjective>(
-            std::make_unique<GirgObjective>(girg, target));
+        return std::make_unique<GirgObjective>(girg, target);
     };
     const ServingQuery single =
         param.adversary == Adversary::kLiars
@@ -448,7 +449,7 @@ TEST_P(ServingDiff, MatchesThePreSplitEventLoopOnEveryField) {
         for (const Batch& batch : shapes) {
             const std::string where = cell.name + " batch=" + batch.name;
             const ServingResult expected = reference::simulate_many(
-                girg.graph, plain, protocol, batch.queries, cell.options);
+                girg.graph, plain, oracle_protocol, batch.queries, cell.options);
 
             FactoryAudit audit;
             const TargetObjectiveFactory audited = [&](Vertex target) {
@@ -494,7 +495,8 @@ TEST_P(ServingDiff, MatchesThePreSplitEventLoopOnEveryField) {
 }
 
 /// Honest serving on an instance with hub rows (degree >= 256), where the
-/// production walk prunes its argmax and the oracle scans every row entry.
+/// production walk prunes its argmax and the oracle reads every row entry's
+/// value.
 TEST(ServingDiffHubs, PrunedDecisionsMatchThePreSplitEventLoop) {
     GirgParams params = grid_params();
     params.n = 1 << 14;
@@ -504,8 +506,7 @@ TEST(ServingDiffHubs, PrunedDecisionsMatchThePreSplitEventLoop) {
     const DistributedGreedy greedy;
     const DistributedPhiDfs phi_dfs;
     const TargetObjectiveFactory plain = [&girg](Vertex target) {
-        return std::make_unique<testing::FullScanObjective>(
-            std::make_unique<GirgObjective>(girg, target));
+        return std::make_unique<GirgObjective>(girg, target);
     };
     FactoryAudit audit;
     const TargetObjectiveFactory audited = [&](Vertex target) {
@@ -529,9 +530,10 @@ TEST(ServingDiffHubs, PrunedDecisionsMatchThePreSplitEventLoop) {
     std::size_t hub_wakes = 0;
     for (const Latency& latency : latencies()) {
         for (const std::size_t capacity : {0, 2}) {
-            for (const DistributedProtocol* protocol :
-                 {static_cast<const DistributedProtocol*>(&greedy),
-                  static_cast<const DistributedProtocol*>(&phi_dfs)}) {
+            for (const auto& [protocol, oracle_protocol] :
+                 {std::pair<const DistributedProtocol*, reference::Protocol>{
+                      &greedy, reference::Protocol::kGreedy},
+                  {&phi_dfs, reference::Protocol::kPhiDfs}}) {
                 ServingOptions options;
                 options.latency = latency.model;
                 options.positions = &girg.positions;
@@ -542,8 +544,8 @@ TEST(ServingDiffHubs, PrunedDecisionsMatchThePreSplitEventLoop) {
                 const std::string where = std::string(latency.name) +
                                           " capacity=" + std::to_string(capacity) + " " +
                                           protocol->name();
-                const ServingResult expected =
-                    reference::simulate_many(girg.graph, plain, *protocol, queries, options);
+                const ServingResult expected = reference::simulate_many(
+                    girg.graph, plain, oracle_protocol, queries, options);
                 const ServingResult actual =
                     simulate_many(girg.graph, audited, *protocol, queries, options);
                 ASSERT_EQ(diff_serving(expected, actual), "") << where;
@@ -561,9 +563,9 @@ TEST(ServingDiffHubs, PrunedDecisionsMatchThePreSplitEventLoop) {
 // ------------------------------------------------------------ event queue
 
 /// The production queue (a heap for pushed events, a backlog for injected
-/// ones) against the oracle's copy of the queue it replaced (one heap for
-/// every event), through random interleavings of bulk injections, pushes
-/// and pops: the same events pop in the same order, and the high water and
+/// ones) against the oracle's event order (one sorted set of every pending
+/// event), through random interleavings of bulk injections, pushes and
+/// pops: the same events pop in the same order, and the high water and
 /// the schedule count agree after every step. Times are drawn from the
 /// current tick and the next three, so pushes at the current tick and equal
 /// times across the backlog and the heap are common; every round drains
