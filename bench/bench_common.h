@@ -2,7 +2,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -20,19 +19,6 @@
 #include "girg/generator.h"
 
 namespace smallworld::bench {
-
-/// Scale factor for bench workloads: SMALLWORLD_BENCH_SCALE=4 quadruples the
-/// base graph sizes (the shipped defaults finish the whole bench suite in a
-/// few minutes on a laptop).
-inline double bench_scale() {
-    static const double scale = [] {
-        const char* env = std::getenv("SMALLWORLD_BENCH_SCALE");
-        if (env == nullptr) return 1.0;
-        const double parsed = std::atof(env);
-        return parsed > 0.0 ? parsed : 1.0;
-    }();
-    return scale;
-}
 
 /// Process-wide cache of generated GIRGs so every sweep point of every
 /// registered benchmark reuses the instance instead of re-sampling it.

@@ -73,10 +73,6 @@ double GeometricObjective::value(Vertex v) const {
     return 1.0 / dist;
 }
 
-void GeometricObjective::values(std::span<const Vertex> vertices, double* out) const {
-    for (std::size_t i = 0; i < vertices.size(); ++i) out[i] = value(vertices[i]);
-}
-
 RelaxedObjective::RelaxedObjective(const Girg& girg, Vertex target, RelaxationKind kind,
                                    double magnitude, std::uint64_t seed,
                                    const PhiOptions& options)
@@ -107,10 +103,6 @@ double RelaxedObjective::value(Vertex v) const {
     return phi;
 }
 
-void RelaxedObjective::values(std::span<const Vertex> vertices, double* out) const {
-    for (std::size_t i = 0; i < vertices.size(); ++i) out[i] = value(vertices[i]);
-}
-
 QuantizedObjective::QuantizedObjective(const Girg& girg, Vertex target, int mantissa_bits,
                                        const PhiOptions& options)
     : evaluator_(girg, target, options), mantissa_bits_(mantissa_bits) {
@@ -130,10 +122,6 @@ double QuantizedObjective::quantize(double x, int mantissa_bits) noexcept {
 double QuantizedObjective::value(Vertex v) const {
     if (v == evaluator_.target()) return std::numeric_limits<double>::infinity();
     return quantize(evaluator_.value(v), mantissa_bits_);
-}
-
-void QuantizedObjective::values(std::span<const Vertex> vertices, double* out) const {
-    for (std::size_t i = 0; i < vertices.size(); ++i) out[i] = value(vertices[i]);
 }
 
 ClaimedObjective::ClaimedObjective(const Objective& base, const AdversaryState& adversary)

@@ -37,8 +37,8 @@ public:
     [[nodiscard]] virtual Vertex target() const = 0;
 
     /// Batched evaluation: out[i] = value(vertices[i]). One virtual call per
-    /// neighbor list instead of one per neighbor; subclasses override with a
-    /// non-virtual inner loop.
+    /// neighbor list instead of one per neighbor; subclasses with a batched
+    /// kernel (GirgObjective's evaluator) override it.
     virtual void values(std::span<const Vertex> vertices, double* out) const {
         for (std::size_t i = 0; i < vertices.size(); ++i) out[i] = value(vertices[i]);
     }
@@ -134,7 +134,6 @@ public:
 
     [[nodiscard]] double value(Vertex v) const override;
     [[nodiscard]] Vertex target() const override { return target_; }
-    void values(std::span<const Vertex> vertices, double* out) const override;
 
 private:
     const PointCloud* positions_;
@@ -165,7 +164,6 @@ public:
 
     [[nodiscard]] double value(Vertex v) const override;
     [[nodiscard]] Vertex target() const override { return evaluator_.target(); }
-    void values(std::span<const Vertex> vertices, double* out) const override;
 
 private:
     PhiEvaluator evaluator_;
@@ -187,7 +185,6 @@ public:
 
     [[nodiscard]] double value(Vertex v) const override;
     [[nodiscard]] Vertex target() const override { return evaluator_.target(); }
-    void values(std::span<const Vertex> vertices, double* out) const override;
 
     /// Rounds x to the given number of mantissa bits (exposed for tests).
     [[nodiscard]] static double quantize(double x, int mantissa_bits) noexcept;

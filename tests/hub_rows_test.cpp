@@ -43,6 +43,7 @@
 #include "graph/components.h"
 #include "graph/graph.h"
 #include "graph/packed_graph.h"
+#include "oracles.h"
 #include "random/rng.h"
 #include "test_scenarios.h"
 
@@ -518,6 +519,15 @@ void expect_same_walk(const DistributedResult& want, const DistributedResult& go
     EXPECT_EQ(b.misroutes_observed, a.misroutes_observed) << where;
 }
 
+/// The walk's outcome against the oracle's, written from Algorithms 1 and 2
+/// (tests/oracles.h), which reads phi one vertex at a time.
+void expect_oracle_route(const RoutingResult& oracle, const DistributedResult& got,
+                         const std::string& where) {
+    EXPECT_EQ(got.routing.status, oracle.status) << where;
+    EXPECT_EQ(got.routing.path, oracle.path) << where;
+    EXPECT_EQ(got.routing.retries, oracle.retries) << where;
+}
+
 GirgParams standard(double n) {
     GirgParams params;
     params.n = n;
@@ -530,10 +540,13 @@ GirgParams standard(double n) {
 }
 
 /// DistributedGreedy and Φ-DFS on the lockstep walk, with GirgObjective and
-/// with the decorator that hides the pruned entry: identical results.
+/// with the decorator that hides the pruned entry: identical results, and
+/// the routes the oracles take.
 TEST(PrunedArgmax, GirgWalksMatchTheFullScan) {
     const DistributedGreedy greedy;
     const DistributedPhiDfs phi_dfs;
+    const reference::GreedyRouter greedy_oracle;
+    const reference::PhiDfsRouter phi_dfs_oracle;
     for (const int log_n : {14, 15, 16}) {
         const Girg girg = generate_girg(standard(static_cast<double>(1 << log_n)),
                                         4000 + static_cast<std::uint64_t>(log_n));
@@ -551,6 +564,7 @@ TEST(PrunedArgmax, GirgWalksMatchTheFullScan) {
             const DistributedResult want = simulate_routing(girg.graph, full, greedy, s);
             expect_same_walk(want, simulate_routing(girg.graph, pruned, greedy, s),
                              "greedy " + where);
+            expect_oracle_route(greedy_oracle.route(girg.graph, full, s), want, "greedy " + where);
             for (const Vertex v : want.routing.path) {
                 if (girg.graph.degree(v) >= HubRowSummary::kMinDegree) ++hub_wakes;
             }
@@ -561,6 +575,8 @@ TEST(PrunedArgmax, GirgWalksMatchTheFullScan) {
                 simulate_routing(girg.graph, full, phi_dfs, s, options);
             expect_same_walk(want_dfs, simulate_routing(girg.graph, pruned, phi_dfs, s, options),
                              "phi-dfs " + where);
+            expect_oracle_route(phi_dfs_oracle.route(girg.graph, full, s, options), want_dfs,
+                                "phi-dfs " + where);
         }
         EXPECT_GT(hub_wakes, 20u) << "n=2^" << log_n << ": the walks must cross hub rows";
     }
@@ -679,10 +695,12 @@ TEST(PrunedArgmax, ConcurrentFirstPrunesBuildOneSummary) {
 /// One GirgObjective serves 128 sources of one target, as a serving batch's
 /// objective does, with DistributedGreedy and Φ-DFS taking turns on it, so
 /// the floors phi(holder) and -inf interleave at the holders they share.
-/// Every walk equals the walk decided by full scans.
+/// Every walk equals the walk decided by full scans, and the oracle's route.
 TEST(DecisionCache, SharedObjectiveWalksMatchTheFullScan) {
     const DistributedGreedy greedy;
     const DistributedPhiDfs phi_dfs;
+    const reference::GreedyRouter greedy_oracle;
+    const reference::PhiDfsRouter phi_dfs_oracle;
     const Girg girg = generate_girg(standard(1 << 15), 4101);
     const Components components = connected_components(girg.graph);
     const Vertex n = girg.num_vertices();
@@ -704,6 +722,7 @@ TEST(DecisionCache, SharedObjectiveWalksMatchTheFullScan) {
         const DistributedResult want = simulate_routing(girg.graph, full, greedy, s);
         expect_same_walk(want, simulate_routing(girg.graph, cached, greedy, s),
                          "greedy " + where);
+        expect_oracle_route(greedy_oracle.route(girg.graph, full, s), want, "greedy " + where);
         wakes += want.telemetry.wakes;
         for (const Vertex v : want.routing.path) {
             if (girg.graph.degree(v) >= HubRowSummary::kMinDegree) ++hub_wakes;
@@ -713,6 +732,8 @@ TEST(DecisionCache, SharedObjectiveWalksMatchTheFullScan) {
             simulate_routing(girg.graph, full, phi_dfs, s, options);
         expect_same_walk(want_dfs, simulate_routing(girg.graph, cached, phi_dfs, s, options),
                          "phi-dfs " + where);
+        expect_oracle_route(phi_dfs_oracle.route(girg.graph, full, s, options), want_dfs,
+                            "phi-dfs " + where);
         wakes += want_dfs.telemetry.wakes;
         ++dfs_walks;
     }

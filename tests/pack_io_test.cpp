@@ -54,8 +54,12 @@ GirgParams pack_params(double n) {
 std::string temp_pack_path(const std::string& name) {
     // Parallel ctest runs each case in its own process but TempDir() is
     // shared; prefix the pid so e.g. the /raw and /compressed instances of a
-    // parametrized case never race on the same file.
-    return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
+    // parametrized case never race on the same file. A death test's child
+    // runs its test again from the top and dies before any cleanup, so it
+    // takes its parent's pid: it rewrites the parent's file with the same
+    // bytes, and the parent removes it.
+    const pid_t owner = ::testing::internal::InDeathTestChild() ? ::getppid() : ::getpid();
+    return ::testing::TempDir() + std::to_string(owner) + "_" + name;
 }
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
