@@ -113,7 +113,7 @@ RoutePass route_pairs(const Girg& attributes, const PackedGraph* pack, GraphView
 
 /// Child mode: one (mode, n) measurement, one parseable RESULT line.
 /// `pair_count` shrinks the routed workload for the CI memory-cap step,
-/// where per-objective phi memos would otherwise dominate both modes.
+/// which needs the peak, not the rates.
 int run_measure(const std::string& mode, int n, const std::string& pack_path,
                 std::size_t pair_count) {
     const std::size_t baseline = current_rss_bytes();
@@ -157,10 +157,10 @@ int run_measure(const std::string& mode, int n, const std::string& pack_path,
     const auto loaded = std::chrono::steady_clock::now();
     const double load_seconds = std::chrono::duration<double>(loaded - start).count();
     // Serving footprint: what stands in RAM once the graph is up, before any
-    // query runs. Routing-phase allocations (per-objective phi memos) dwarf
-    // the adjacency and are identical across modes, so the load-time snapshot
-    // is the deterministic resident-vs-mmap comparison; peak_rss still
-    // captures the whole process below.
+    // query runs. Routing-phase allocations (each worker's objective, walk
+    // state and decode scratch) come on top in every mode, so the load-time
+    // snapshot is the deterministic resident-vs-mmap comparison; peak_rss
+    // still captures the whole process below.
     const std::size_t load_rss = current_rss_bytes();
 
     const Girg& objective_girg = mode == "regen" ? regenerated : attributes;

@@ -1,15 +1,15 @@
 // EXP-ROUTE — routing-evaluation throughput: the hot path every theorem
-// benchmark sits on (greedy hops via batched objective argmax, per-target
-// phi memoization, Morton-relabeled CSR locality, the pruned hub-row
+// benchmark sits on (greedy hops via batched objective argmax over the
+// vertex records, Morton-relabeled CSR locality, the pruned hub-row
 // argmax). google-benchmark registrations cover the steady-state
 // per-router throughput; `--sweep` runs the committed ablation ladder:
 //
 //   plain labels + production evaluator (the Morton-off baseline), then on
-//   Morton labels: SoA scalar kernels, AVX2 vector kernels, and AVX2 with
-//   the cohort-shared memo pool, all through GreedyRouter; then
-//   DistributedGreedy on the lockstep walk with the full scan (walk_full)
-//   and with GirgObjective's argmax (walk_pruned), which prunes hub rows and
-//   remembers each holder's decision, so a target's sources share them
+//   Morton labels: scalar kernels and AVX2 vector kernels, both through
+//   GreedyRouter; then DistributedGreedy on the lockstep walk with the full
+//   scan (walk_full) and with GirgObjective's argmax (walk_pruned), which
+//   prunes hub rows and remembers each holder's decision, so a target's
+//   sources share them
 //
 // on the *same physical graph and the same physical (s,t) pairs*, so the
 // measured separation is purely labels and evaluation, not the workload.
@@ -26,7 +26,6 @@
 
 #include <chrono>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -44,8 +43,7 @@
 #include "distributed/protocols.h"
 #include "girg/hub_rows.h"
 #include "girg/phi_evaluator.h"
-#include "girg/phi_memo.h"
-#include "girg/phi_soa.h"
+#include "girg/phi_records.h"
 #include "girg/relabel.h"
 #include "random/rng.h"
 #include "random/stats.h"
@@ -201,32 +199,29 @@ struct EntryCounts {
     bool consistent = true;
 };
 
+/// count_entries' `best` kernel: forwards to the production kernel and adds
+/// the entries it hands it.
+const PhiKernelOps* counted_kernel = nullptr;
+double counted_entries = 0.0;
+
+PhiBestLane counting_best(const PhiKernelCtx& ctx, const Vertex* vs, std::size_t count) {
+    counted_entries += static_cast<double>(count);
+    return counted_kernel->best(ctx, vs, count);
+}
+
 EntryCounts count_entries(const SweepWorkload& workload) {
     const Girg& girg = *workload.girg;
-    const auto soa = girg.phi_soa();
+    const auto records = girg.phi_soa();
     const auto hubs = girg.hub_rows();
-    const PhiKernelOps& ops =
-        phi_kernel_ops(girg.params.norm, girg.params.dim,
-                       phi_simd_available() ? PhiKernel::kAvx2 : PhiKernel::kScalar);
-    // The kernel's memo, reset after every call: its writeback log then
-    // holds exactly the entries that call evaluated.
-    std::vector<double> memo(girg.num_vertices(), std::numeric_limits<double>::quiet_NaN());
-    std::vector<Vertex> touched;
+    counted_kernel =
+        &phi_kernel_ops(girg.params.norm, girg.params.dim,
+                        phi_simd_available() ? PhiKernel::kAvx2 : PhiKernel::kScalar);
+    counted_entries = 0.0;
     EntryCounts counts;
     std::size_t queries = 0;
     for (const auto& [target, sources] : workload.pairs) {
         const GirgObjective objective(girg, target);
-        PhiKernelCtx ctx;
-        ctx.weights = soa->weight_plane();
-        ctx.wn = girg.params.wmin * girg.params.n;
-        ctx.dim = girg.params.dim;
-        ctx.target = target;
-        for (int axis = 0; axis < ctx.dim; ++axis) {
-            ctx.axes[axis] = soa->axis_plane(axis);
-            ctx.target_position[axis] = girg.position(target)[axis];
-        }
-        ctx.memo = memo.data();
-        ctx.touched = &touched;
+        const PhiKernelCtx ctx(girg, *records, target);
         for (const Vertex source : sources) {
             ++queries;
             const RoutingResult routed = GreedyRouter{}.route(girg.graph, objective, source);
@@ -240,10 +235,7 @@ EntryCounts count_entries(const SweepWorkload& workload) {
                     continue;
                 }
                 const PhiBestLane lane =
-                    hubs->best_above(ctx, ops.best, holder, row, objective.value(holder));
-                counts.pruned += static_cast<double>(touched.size());
-                for (const Vertex v : touched) memo[v] = std::numeric_limits<double>::quiet_NaN();
-                touched.clear();
+                    hubs->best_above(ctx, counting_best, holder, row, objective.value(holder));
                 const Vertex next = i + 1 < routed.path.size() ? routed.path[i + 1] : kNoVertex;
                 const Vertex chosen =
                     lane.index == PhiBestLane::kNone ? kNoVertex : row[lane.index];
@@ -251,6 +243,7 @@ EntryCounts count_entries(const SweepWorkload& workload) {
             }
         }
     }
+    counts.pruned += counted_entries;
     counts.full /= static_cast<double>(queries);
     counts.pruned /= static_cast<double>(queries);
     return counts;
@@ -293,34 +286,28 @@ int run_sweep(const std::string& output_path, bool smoke) {
     const SweepWorkload relabeled_workload =
         relabel_workload(plain_workload, relabeled, new_ids);
 
-    const auto make_soa = [](const Girg& girg, Vertex target) {
+    // The scalar kernels; the cell keeps its name, relabeled_soa, from when
+    // they read attribute planes, so the ladder stays comparable across
+    // commits.
+    const auto make_scalar = [](const Girg& girg, Vertex target) {
         PhiOptions options;
         options.mode = PhiEvalMode::kScalar;
         return std::make_unique<GirgObjective>(girg, target, options);
     };
     // kAuto, the production evaluator: AVX2 kernels when the host supports
-    // them, SoA scalar otherwise (simd_active in the JSON records which one
+    // them, scalar otherwise (simd_active in the JSON records which one
     // actually ran).
     const auto make_simd = [](const Girg& girg, Vertex target) {
         return std::make_unique<GirgObjective>(girg, target);
     };
-    const auto cohort_pool = std::make_shared<PhiMemoPool>();
-    const auto make_cohort = [cohort_pool](const Girg& girg, Vertex target) {
-        PhiOptions options;
-        options.pool = cohort_pool;
-        return std::make_unique<GirgObjective>(girg, target, options);
-    };
-    const auto make_full_scan = [cohort_pool](const Girg& girg, Vertex target) {
-        PhiOptions options;
-        options.pool = cohort_pool;
-        return std::make_unique<FullScanObjective>(
-            std::make_unique<GirgObjective>(girg, target, options));
+    const auto make_full_scan = [](const Girg& girg, Vertex target) {
+        return std::make_unique<FullScanObjective>(std::make_unique<GirgObjective>(girg, target));
     };
 
     // The walk cells decide every hop with LocalView::best; the pruned one
     // must pick GreedyRouter's hop at every step, the full one too.
     for (const auto& [target, sources] : relabeled_workload.pairs) {
-        const auto pruned = make_cohort(relabeled, target);
+        const auto pruned = make_simd(relabeled, target);
         const auto full = make_full_scan(relabeled, target);
         for (const Vertex source : sources) {
             const auto path = route_with(Engine::kRouter, relabeled, *pruned, source).path;
@@ -361,13 +348,11 @@ int run_sweep(const std::string& output_path, bool smoke) {
     std::cerr << "sweep: single-thread ablation...\n";
     add_cell("plain_simd", run_cell(plain_workload, make_simd, Engine::kRouter, timing, 1));
     add_cell("relabeled_soa",
-             run_cell(relabeled_workload, make_soa, Engine::kRouter, timing, 1));
+             run_cell(relabeled_workload, make_scalar, Engine::kRouter, timing, 1));
     add_cell("relabeled_simd",
              run_cell(relabeled_workload, make_simd, Engine::kRouter, timing, 1));
-    add_cell("relabeled_simd_cohort",
-             run_cell(relabeled_workload, make_cohort, Engine::kRouter, timing, 1));
     add_cell("walk_full", run_cell(relabeled_workload, make_full_scan, Engine::kWalk, timing, 1));
-    add_cell("walk_pruned", run_cell(relabeled_workload, make_cohort, Engine::kWalk, timing, 1));
+    add_cell("walk_pruned", run_cell(relabeled_workload, make_simd, Engine::kWalk, timing, 1));
 
     // Routing outcomes are label-invariant; any mismatch means a cell
     // changed the semantics, which would invalidate the comparison.
@@ -381,8 +366,7 @@ int run_sweep(const std::string& output_path, bool smoke) {
     }
 
     // Thread sweep of the per-target pipeline on the production router
-    // configuration (relabeled + SIMD + cohort pool; the locked pool is
-    // shared across workers).
+    // configuration (relabeled + SIMD).
     struct ThreadRow {
         unsigned threads;
         CellResult result;
@@ -390,7 +374,7 @@ int run_sweep(const std::string& output_path, bool smoke) {
     std::vector<ThreadRow> thread_rows;
     std::cerr << "sweep: thread sweep...\n";
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-        thread_rows.push_back({threads, run_cell(relabeled_workload, make_cohort,
+        thread_rows.push_back({threads, run_cell(relabeled_workload, make_simd,
                                                  Engine::kRouter, timing, threads)});
         const ThreadRow& row = thread_rows.back();
         if (row.result.delivered != cells.front().result.delivered ||
@@ -451,12 +435,12 @@ int run_sweep(const std::string& output_path, bool smoke) {
     }
     ablation << "  ]";
     json.field_raw("single_thread_ablation", ablation.str());
-    json.field("single_thread_speedup", rate_of("relabeled_simd_cohort") / base_rate);
-    // The kernel ablation alone: AVX2 against SoA scalar, same labels, same
-    // pairs.
+    json.field("single_thread_speedup", rate_of("relabeled_simd") / base_rate);
+    // The kernel ablation alone: AVX2 against scalar, same labels, same
+    // records, same pairs.
     json.field("simd_speedup_vs_relabeled_soa",
                rate_of("relabeled_simd") / rate_of("relabeled_soa"));
-    // The pruned argmax alone: the same walk, the same objective and pool.
+    // The pruned argmax alone: the same walk, the same objective.
     json.field("pruned_speedup_vs_walk_full", rate_of("walk_pruned") / rate_of("walk_full"));
 
     std::ostringstream threads_json;
@@ -472,7 +456,7 @@ int run_sweep(const std::string& output_path, bool smoke) {
     json.field_raw("thread_sweep", threads_json.str());
     json.close();
 
-    std::cerr << "sweep: single_thread_speedup=" << rate_of("relabeled_simd_cohort") / base_rate
+    std::cerr << "sweep: single_thread_speedup=" << rate_of("relabeled_simd") / base_rate
               << " pruned_speedup_vs_walk_full="
               << rate_of("walk_pruned") / rate_of("walk_full") << "\n";
     std::cerr << "sweep: wrote " << output_path << "\n";

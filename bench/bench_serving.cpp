@@ -36,8 +36,6 @@
 #include "core/objective.h"
 #include "distributed/protocols.h"
 #include "distributed/serving.h"
-#include "girg/phi_memo.h"
-#include "girg/phi_soa.h"
 #include "random/rng.h"
 
 namespace smallworld::bench {
@@ -46,15 +44,8 @@ namespace {
 /// `full_scan` hides GirgObjective's best_above, so every argmax scans the
 /// whole row afresh.
 TargetObjectiveFactory factory_for(const Girg& girg, bool full_scan = false) {
-    // Cohort-shared memo pool: simulate_many builds one objective per
-    // distinct target, one at a time; the pool recycles their memo tables
-    // across targets so repeated batches skip the O(n) NaN refill.
-    // Locked, and pure phi keeps results independent of pooling.
-    const auto pool = std::make_shared<PhiMemoPool>();
-    return [&girg, pool, full_scan](Vertex target) -> std::unique_ptr<Objective> {
-        PhiOptions options;
-        options.pool = pool;
-        auto objective = std::make_unique<GirgObjective>(girg, target, options);
+    return [&girg, full_scan](Vertex target) -> std::unique_ptr<Objective> {
+        auto objective = std::make_unique<GirgObjective>(girg, target);
         if (!full_scan) return objective;
         return std::make_unique<FullScanObjective>(std::move(objective));
     };
@@ -90,8 +81,6 @@ void serving_bench(benchmark::State& state) {
     options.latency.jitter_ticks = 3;
     options.latency.seed = 82002;
     options.seed = 82003;
-    // One factory (one memo pool) across iterations: repeated batches
-    // recycle the per-target memo tables instead of re-allocating them.
     const auto factory = factory_for(girg);
     std::size_t delivered = 0;
     SimTime makespan = 0;

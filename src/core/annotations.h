@@ -8,7 +8,7 @@
 ///
 /// The repo's concurrency contract — bit-identical results at any thread
 /// count — leans on a small number of mutex-guarded seams (thread pool job
-/// state, PhiMemoPool freelist, EdgeArena slab table, the Girg SoA cache).
+/// state, EdgeArena slab table, the Girg vertex-record cache).
 /// TSan vets those seams at runtime on the paths the tests happen to drive;
 /// the annotations below move the same discipline to compile time: clang's
 /// -Wthread-safety proves every access to a GIRG_GUARDED_BY member happens

@@ -26,7 +26,7 @@ RoutingResult route_greedy_faulted(const GraphView& graph, const Objective& hone
     int streak = 0;              // consecutive wait-out epochs
     for (Vertex current = source; current != regime.target();) {
         // One batched values() call per scan; phi is pure, so evaluating
-        // unusable neighbors too only warms the memo.
+        // unusable neighbors too changes nothing.
         const std::span<const Vertex> row = regime.row(current);
         values.resize(row.size());
         objective.values(row, values.data());

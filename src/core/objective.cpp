@@ -52,10 +52,10 @@ BestNeighbor GirgObjective::decide(Vertex holder, std::span<const Vertex> row,
                                    double floor) const {
     if (row.size() >= HubRowSummary::kMinDegree) {
         const Graph& graph = girg_->graph;
-        if (hubs_ == nullptr || !hubs_->built_from(graph, evaluator_.soa())) {
+        if (hubs_ == nullptr || !hubs_->built_from(graph, evaluator_.records())) {
             hubs_ = girg_->hub_rows();
         }
-        if (hubs_->built_from(graph, evaluator_.soa())) {
+        if (hubs_->built_from(graph, evaluator_.records())) {
             return evaluator_.best_above(*hubs_, holder, row, floor);
         }
     }

@@ -22,11 +22,11 @@ namespace smallworld {
 /// v's address (position, weight) and the target's position — the locality
 /// property the paper emphasizes.
 ///
-/// Concurrency contract: objectives may memoize per-vertex values and, in
-/// GirgObjective, per-holder argmax decisions behind a const interface, so
-/// a single instance must not be shared across threads. Construct one
-/// objective per worker; phi is a pure function of the vertex attributes,
-/// so independent instances for the same target always agree.
+/// Concurrency contract: objectives may keep state behind a const interface
+/// (GirgObjective remembers per-holder argmax decisions), so a single
+/// instance must not be shared across threads. Construct one objective per
+/// worker; phi is a pure function of the vertex attributes, so independent
+/// instances for the same target always agree.
 class Objective {
 public:
     virtual ~Objective() = default;
@@ -78,13 +78,13 @@ public:
 /// The paper's canonical objective phi(v) = wv / (wmin * n * ||xv - xt||^d),
 /// i.e. "forward to the acquaintance most likely to know the target":
 /// for alpha < infinity maximizing phi is equivalent to maximizing the
-/// connection probability p_{v,t}. Evaluation is delegated to a memoizing
+/// connection probability p_{v,t}. Evaluation is delegated to a
 /// PhiEvaluator, so the batched entry points never touch a vtable per
 /// neighbor.
 class GirgObjective final : public Objective {
 public:
-    /// `options` selects the evaluator kernel (scalar or SIMD) and an
-    /// optional cohort-shared memo pool; the default auto-dispatches.
+    /// `options` selects the evaluator kernel (scalar or SIMD); the default
+    /// auto-dispatches.
     GirgObjective(const Girg& girg, Vertex target, const PhiOptions& options = {});
 
     [[nodiscard]] double value(Vertex v) const override;
@@ -156,7 +156,7 @@ enum class RelaxationKind {
 /// for vertex v is derived by hashing (seed, v), so phi~ is a genuine
 /// function of the vertex (consistent across queries) as Theorem 3.5
 /// requires, yet "adversarially" scrambles the ordering of near-equal
-/// neighbors. The unperturbed base phi comes from a memoized PhiEvaluator.
+/// neighbors. The unperturbed base phi comes from a PhiEvaluator.
 class RelaxedObjective final : public Objective {
 public:
     RelaxedObjective(const Girg& girg, Vertex target, RelaxationKind kind,

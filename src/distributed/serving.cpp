@@ -55,7 +55,7 @@ ServingResult simulate_many(const GraphView& graph, const TargetObjectiveFactory
     // adversary, never on other queries; timing only orders events and
     // decides capacity drops. So each query walks to completion on the
     // lockstep walk, target by target: one objective is alive at a
-    // time, and its memo serves every query toward its target. Bounded
+    // time, and its decisions serve every query toward its target. Bounded
     // queues also keep the telemetry as of each arrival a walk causes, for
     // the queries phase 2 refuses.
     std::vector<SimulationTelemetry> arrivals;

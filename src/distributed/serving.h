@@ -45,9 +45,9 @@ struct ServingQuery {
 /// per *distinct* target of the batch, one call at a time on the calling
 /// thread, in ascending target order; each objective is destroyed before
 /// the next is built, and all of its evaluation runs on the calling thread
-/// too. So at most one objective (one memo table, one table of remembered
-/// decisions) is alive at a time, and every query toward a target shares
-/// its objective's decisions.
+/// too. So at most one objective (one table of remembered decisions) is
+/// alive at a time, and every query toward a target shares its objective's
+/// decisions.
 using TargetObjectiveFactory = std::function<std::unique_ptr<Objective>(Vertex target)>;
 
 struct ServingOptions {

@@ -15,15 +15,8 @@
 namespace smallworld {
 
 ObjectiveFactory girg_objective_factory() {
-    // One memo pool per factory: the runner's ≤16-source Phase-B blocks each
-    // build one objective through this closure, so consecutive blocks recycle
-    // memo tables (O(touched) reset) instead of NaN-filling n doubles. Pure
-    // phi makes pooling invisible in results; the pool itself is locked.
-    const auto pool = std::make_shared<PhiMemoPool>();
-    return [pool](const Girg& girg, Vertex target) -> std::unique_ptr<Objective> {
-        PhiOptions options;
-        options.pool = pool;
-        return std::make_unique<GirgObjective>(girg, target, options);
+    return [](const Girg& girg, Vertex target) -> std::unique_ptr<Objective> {
+        return std::make_unique<GirgObjective>(girg, target);
     };
 }
 
@@ -35,13 +28,9 @@ ObjectiveFactory geometric_objective_factory() {
 
 ObjectiveFactory relaxed_objective_factory(RelaxationKind kind, double magnitude,
                                            std::uint64_t seed) {
-    const auto pool = std::make_shared<PhiMemoPool>();
-    return [kind, magnitude, seed, pool](const Girg& girg,
-                                         Vertex target) -> std::unique_ptr<Objective> {
-        PhiOptions options;
-        options.pool = pool;
-        return std::make_unique<RelaxedObjective>(girg, target, kind, magnitude, seed,
-                                                  options);
+    return [kind, magnitude, seed](const Girg& girg,
+                                   Vertex target) -> std::unique_ptr<Objective> {
+        return std::make_unique<RelaxedObjective>(girg, target, kind, magnitude, seed);
     };
 }
 
@@ -117,7 +106,7 @@ TrialStats run_trials_impl(const Graph& graph, const Router& router,
     // assignment of work items to threads never changes the results:
     // Phase A (stream t): pick target t and run its BFS. Phase B (stream
     // targets + item): route a block of sources toward its target, with a
-    // private objective instance per block — objectives memoize phi behind
+    // private objective instance per block — objectives keep state behind
     // const, so they must not be shared across workers.
     const RngStreams streams(seed);
 
@@ -148,10 +137,9 @@ TrialStats run_trials_impl(const Graph& graph, const Router& router,
             const std::vector<std::int32_t>& dist = ctx.dist;
             Rng rng = streams.stream(config.targets + item);
             TrialStats& stats = per_block[item];
-            // One objective per ≤16-source block: the cohort shares its memo
-            // table (and, for girg objectives, the graph's SoA view) across
-            // all sources routed toward this target; factories built with a
-            // PhiMemoPool additionally recycle tables across blocks.
+            // One objective per ≤16-source block: the cohort shares it (and,
+            // for girg objectives, the graph's vertex records) across all
+            // sources routed toward this target.
             const auto objective = factory(target);
 
             const std::size_t first = block * kSourcesPerBlock;

@@ -6,7 +6,7 @@
 #include "core/annotations.h"
 #include "geometry/torus.h"
 #include "girg/hub_rows.h"
-#include "girg/phi_soa.h"
+#include "girg/phi_records.h"
 
 namespace smallworld {
 
@@ -14,23 +14,23 @@ namespace detail {
 Mutex phi_soa_mutex;  // declared in girg.h next to the member it guards
 }  // namespace detail
 
-const std::shared_ptr<const PhiSoA>& Girg::fresh_phi_soa() const {
+const std::shared_ptr<const PhiRecords>& Girg::fresh_phi_soa() const {
     if (phi_soa_cache_ == nullptr || phi_soa_cache_->size() != weights.size()) {
-        phi_soa_cache_ = std::make_shared<PhiSoA>(weights, positions);
+        phi_soa_cache_ = std::make_shared<PhiRecords>(weights, positions);
     }
     return phi_soa_cache_;
 }
 
-std::shared_ptr<const PhiSoA> Girg::phi_soa() const {
+std::shared_ptr<const PhiRecords> Girg::phi_soa() const {
     const MutexLock lock(detail::phi_soa_mutex);
     return fresh_phi_soa();
 }
 
 std::shared_ptr<const HubRowSummary> Girg::hub_rows() const {
     const MutexLock lock(detail::phi_soa_mutex);
-    const std::shared_ptr<const PhiSoA>& soa = fresh_phi_soa();
-    if (hub_rows_cache_ == nullptr || !hub_rows_cache_->built_from(graph, soa.get())) {
-        hub_rows_cache_ = std::make_shared<HubRowSummary>(graph, soa, params.norm);
+    const std::shared_ptr<const PhiRecords>& records = fresh_phi_soa();
+    if (hub_rows_cache_ == nullptr || !hub_rows_cache_->built_from(graph, records.get())) {
+        hub_rows_cache_ = std::make_shared<HubRowSummary>(graph, records, params.norm);
     }
     return hub_rows_cache_;
 }

@@ -118,11 +118,12 @@ constexpr PrunedBestFn kPruned[2][kMaxDim] = {
 
 }  // namespace
 
-HubRowSummary::HubRowSummary(const Graph& graph, std::shared_ptr<const PhiSoA> soa, Norm norm)
-    : graph_identity_(graph.identity()), soa_(std::move(soa)) {
-    GIRG_CHECK(soa_->size() == graph.num_vertices(), "HubRowSummary: ", soa_->size(),
-               " plane entries for ", graph.num_vertices(), " vertices");
-    const int dim = soa_->dim();
+HubRowSummary::HubRowSummary(const Graph& graph, std::shared_ptr<const PhiRecords> records,
+                             Norm norm)
+    : graph_identity_(graph.identity()), records_(std::move(records)) {
+    GIRG_CHECK(records_->size() == graph.num_vertices(), "HubRowSummary: ", records_->size(),
+               " records for ", graph.num_vertices(), " vertices");
+    const int dim = records_->dim();
     stride_ = 1 + 2 * static_cast<std::size_t>(dim);
     pruned_ = kPruned[norm == Norm::kMax ? 0 : 1][dim - 1];
     const auto coarse_blocks = [](std::size_t degree) {
@@ -142,25 +143,23 @@ HubRowSummary::HubRowSummary(const Graph& graph, std::shared_ptr<const PhiSoA> s
     }
     boxes_.resize(total * stride_);
 
-    const double* weights = soa_->weight_plane();
     for (const Row& r : rows_) {
         const std::span<const Vertex> row = graph.neighbors(r.vertex);
         float* coarse = boxes_.data() + r.first_box * stride_;
         float* fine = coarse + coarse_blocks(row.size()) * stride_;
         for (std::size_t begin = 0; begin < row.size(); begin += kFineBlock) {
             const std::size_t end = std::min(row.size(), begin + kFineBlock);
-            double weight = weights[row[begin]];
+            const double* first = records_->record(row[begin]);
+            double weight = first[dim];
             double lo[kMaxDim] = {};
             double hi[kMaxDim] = {};
-            for (int axis = 0; axis < dim; ++axis) {
-                lo[axis] = hi[axis] = soa_->axis_plane(axis)[row[begin]];
-            }
+            for (int axis = 0; axis < dim; ++axis) lo[axis] = hi[axis] = first[axis];
             for (std::size_t i = begin + 1; i < end; ++i) {
-                weight = std::max(weight, weights[row[i]]);
+                const double* record = records_->record(row[i]);
+                weight = std::max(weight, record[dim]);
                 for (int axis = 0; axis < dim; ++axis) {
-                    const double x = soa_->axis_plane(axis)[row[i]];
-                    lo[axis] = std::min(lo[axis], x);
-                    hi[axis] = std::max(hi[axis], x);
+                    lo[axis] = std::min(lo[axis], record[axis]);
+                    hi[axis] = std::max(hi[axis], record[axis]);
                 }
             }
             float* box = fine + begin / kFineBlock * stride_;

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "geometry/torus.h"
-#include "girg/phi_soa.h"
+#include "girg/phi_records.h"
 #include "graph/graph.h"
 
 namespace smallworld {
@@ -26,25 +26,25 @@ namespace smallworld {
 /// relabeling makes ids z-ordered, so 16 consecutive entries already cover a
 /// small box.
 ///
-/// Built from one graph's rows and one PhiSoA's planes; Girg::hub_rows()
-/// caches it beside the planes. built_from() says whether it describes a
-/// given graph and the planes an evaluator reads.
+/// Built from one graph's rows and one PhiRecords store; Girg::hub_rows()
+/// caches it beside the records. built_from() says whether it describes a
+/// given graph and the records an evaluator reads.
 class HubRowSummary {
 public:
     static constexpr std::size_t kMinDegree = 256;   ///< rows summarized
     static constexpr std::size_t kFineBlock = 16;    ///< entries per fine box
     static constexpr std::size_t kCoarseBlock = 256; ///< entries per coarse box
 
-    /// Summarizes `graph`'s rows of degree >= kMinDegree from `soa`'s
-    /// planes (one plane entry per vertex of `graph`); `norm` is the
-    /// instance's, and selects the bound's kernel.
-    HubRowSummary(const Graph& graph, std::shared_ptr<const PhiSoA> soa, Norm norm);
+    /// Summarizes `graph`'s rows of degree >= kMinDegree from `records`
+    /// (one record per vertex of `graph`); `norm` is the instance's, and
+    /// selects the bound's kernel.
+    HubRowSummary(const Graph& graph, std::shared_ptr<const PhiRecords> records, Norm norm);
 
-    /// True when this summary describes `graph`'s rows and the planes at
-    /// `soa`. The summary holds its planes alive, so an equal pointer is the
-    /// same planes, not a later allocation at a freed address.
-    [[nodiscard]] bool built_from(const Graph& graph, const PhiSoA* soa) const noexcept {
-        return graph.identity() == graph_identity_ && soa == soa_.get();
+    /// True when this summary describes `graph`'s rows and the records at
+    /// `records`. The summary holds its records alive, so an equal pointer
+    /// is the same records, not a later allocation at a freed address.
+    [[nodiscard]] bool built_from(const Graph& graph, const PhiRecords* records) const noexcept {
+        return graph.identity() == graph_identity_ && records == records_.get();
     }
 
     [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
@@ -58,7 +58,7 @@ public:
     /// index in `row` and its value, or index kNone when no entry exceeds
     /// the floor. Bit-identical to `best` over the whole row, filtered by
     /// the floor. `best` is the evaluator's argmax kernel, run on the fine
-    /// blocks that are not skipped; `ctx` must read the planes the summary
+    /// blocks that are not skipped; `ctx` must read the records the summary
     /// was built from (built_from). A row the summary does not cover runs
     /// `best` over the whole row.
     [[nodiscard]] PhiBestLane best_above(const PhiKernelCtx& ctx, PhiBestFn best, Vertex holder,
@@ -75,7 +75,7 @@ private:
                                          const Vertex*, std::size_t, double);
 
     std::uint64_t graph_identity_ = 0;
-    std::shared_ptr<const PhiSoA> soa_;
+    std::shared_ptr<const PhiRecords> records_;
     std::size_t stride_ = 1;  ///< floats per box: 1 + 2 * dim
     PrunedBestFn pruned_ = nullptr;
     std::vector<Row> rows_;  ///< sorted by vertex

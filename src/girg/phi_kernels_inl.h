@@ -1,15 +1,15 @@
 #pragma once
 
-// Scalar phi kernel bodies shared by phi_soa.cpp (the scalar dispatch tables)
-// and phi_simd_avx2.cpp (ragged-tail lanes). Header-only so both TUs inline
-// the same source; every operation is plain double arithmetic in a fixed
-// order, and both TUs pin -ffp-contract=off, so the instantiations are
+// Scalar phi kernel bodies shared by phi_records.cpp (the scalar dispatch
+// tables) and phi_simd_avx2.cpp (ragged-tail lanes). Header-only so both TUs
+// inline the same source; every operation is plain double arithmetic in a
+// fixed order, and both TUs pin -ffp-contract=off, so the instantiations are
 // bit-identical regardless of the enclosing TU's -m flags.
 
 #include <cmath>
 #include <limits>
 
-#include "girg/phi_soa.h"
+#include "girg/phi_records.h"
 
 namespace smallworld::detail {
 
@@ -43,31 +43,21 @@ double phi_dist_pow(const AxisDistance& axis_distance) noexcept {
 }
 
 /// Scalar phi with the (norm, dim) dispatch hoisted into template
-/// parameters. Reproduces Girg::objective bit for bit: wrapped per-axis
-/// distance, L-inf max chain (or L2 axis-order sum + sqrt), integer-d power
-/// ladder, one division with the wmin*n grouping. The v == target and
-/// zero-distance early returns both yield +inf, which is also what the
-/// division produces for dist_pow_d == 0 — kept explicit to mirror the
-/// original control flow.
+/// parameters, read from v's record alone. Reproduces Girg::objective bit
+/// for bit: wrapped per-axis distance, L-inf max chain (or L2 axis-order sum
+/// + sqrt), integer-d power ladder, one division with the wmin*n grouping.
+/// The v == target and zero-distance early returns both yield +inf, which is
+/// also what the division produces for dist_pow_d == 0 — kept explicit to
+/// mirror the original control flow.
 template <Norm N, int D>
 double phi_compute_lane(const PhiKernelCtx& ctx, Vertex v) noexcept {
     if (v == ctx.target) return kPhiInf;
+    const double* record = ctx.records + static_cast<std::size_t>(v) * PhiRecords::stride_for(D);
     const double dist_pow_d = phi_dist_pow<N, D>([&](int axis) {
-        return torus_coord_distance(ctx.axes[axis][v], ctx.target_position[axis]);
+        return torus_coord_distance(record[axis], ctx.target_position[axis]);
     });
     if (dist_pow_d == 0.0) return kPhiInf;
-    return ctx.weights[v] / (ctx.wn * dist_pow_d);
-}
-
-/// Memo probe shared by every scalar path: NaN sentinel means unmemoized.
-template <PhiComputeFn Compute>
-double phi_probe_or_compute(const PhiKernelCtx& ctx, Vertex v) {
-    double& slot = ctx.memo[v];
-    if (std::isnan(slot)) {
-        slot = Compute(ctx, v);
-        ctx.touched->push_back(v);
-    }
-    return slot;
+    return record[D] / (ctx.wn * dist_pow_d);
 }
 
 }  // namespace smallworld::detail

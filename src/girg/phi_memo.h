@@ -1,90 +1,11 @@
 #pragma once
 
-#include <cmath>
-#include <cstddef>
-#include <limits>
-#include <memory>
-#include <utility>
-#include <vector>
-
-#include "core/annotations.h"
-#include "core/check.h"
-#include "graph/graph.h"
-
 namespace smallworld {
 
-/// NaN-sentinel memo table for per-target phi values, paired with a
-/// writeback log so a recycled table resets in O(touched) instead of
-/// re-filling n sentinels. Every kernel that memoizes a slot must append the
-/// vertex to the touched list — reset() relies on the log being complete.
-/// The log may hold duplicates (a duplicated lane inside one vectorized
-/// block records twice); reset is idempotent, so duplicates are harmless.
-class PhiMemoTable {
-public:
-    explicit PhiMemoTable(std::size_t n) : values_(n, kUnset) {}
-
-    [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
-    [[nodiscard]] double* data() noexcept { return values_.data(); }
-    [[nodiscard]] std::vector<Vertex>* touched() noexcept { return &touched_; }
-    /// True when nothing has been memoized yet (the bulk-compute fast path).
-    [[nodiscard]] bool cold() const noexcept { return touched_.empty(); }
-
-    /// Un-memoizes exactly the touched slots and clears the log.
-    void reset() noexcept {
-        for (const Vertex v : touched_) values_[v] = kUnset;
-        touched_.clear();
-    }
-
-    /// Debug check: every slot is the sentinel (the pool's acquire contract).
-    [[nodiscard]] bool clean() const noexcept {
-        for (const double x : values_) {
-            if (!std::isnan(x)) return false;
-        }
-        return true;
-    }
-
-private:
-    static constexpr double kUnset = std::numeric_limits<double>::quiet_NaN();
-
-    std::vector<double> values_;
-    std::vector<Vertex> touched_;
-};
-
-/// Mutex-guarded freelist of memo tables, shared by the evaluators of one
-/// trial run (the "cohort" seam): each ≤16-source block acquires a recycled
-/// table for its target instead of allocating and NaN-filling n doubles.
-/// Ownership is exclusive between acquire and release, so pooling changes
-/// allocation traffic only — memoized phi is a pure function of the vertex
-/// attributes, and a reset table is indistinguishable from a fresh one.
-class PhiMemoPool {
-public:
-    [[nodiscard]] std::unique_ptr<PhiMemoTable> acquire(std::size_t n) {
-        {
-            const MutexLock lock(mutex_);
-            while (!free_.empty()) {
-                std::unique_ptr<PhiMemoTable> table = std::move(free_.back());
-                free_.pop_back();
-                if (table->size() == n) {
-                    GIRG_DCHECK(table->clean(), "pooled phi memo has stale entries");
-                    return table;
-                }
-                // A different graph came through the same factory: drop the
-                // mismatched table and keep looking.
-            }
-        }
-        return std::make_unique<PhiMemoTable>(n);
-    }
-
-    void release(std::unique_ptr<PhiMemoTable> table) {
-        if (table == nullptr) return;
-        table->reset();
-        const MutexLock lock(mutex_);
-        free_.push_back(std::move(table));
-    }
-
-private:
-    Mutex mutex_;
-    std::vector<std::unique_ptr<PhiMemoTable>> free_ GIRG_GUARDED_BY(mutex_);
-};
+/// Unused: phi is computed afresh from each vertex's record (girg/phi_records.h)
+/// and nothing memoizes it, so there is nothing to pool. Kept, with
+/// PhiOptions::pool, only so bench_e2e compiles; both go with ROADMAP item 1's
+/// benchmark change.
+class PhiMemoPool {};
 
 }  // namespace smallworld

@@ -1,67 +1,63 @@
-#include "girg/phi_soa.h"
+#include "girg/phi_records.h"
 
 #include <cstdlib>
 #include <span>
 #include <string_view>
 
 #include "core/check.h"
+#include "girg/girg.h"
 #include "girg/phi_kernels_inl.h"
 
 namespace smallworld {
 
-PhiSoA::PhiSoA(std::span<const double> weights, const PointCloud& positions)
+PhiRecords::PhiRecords(std::span<const double> weights, const PointCloud& positions)
     : n_(weights.size()), dim_(positions.dim) {
+    GIRG_CHECK(dim_ >= 1 && dim_ <= kMaxDim, "PhiRecords: dim=", dim_);
     GIRG_CHECK(positions.coords.size() == n_ * static_cast<std::size_t>(dim_),
-               "PhiSoA: ", n_, " weights vs ", positions.coords.size(), " coords of dim ", dim_);
-    GIRG_CHECK(dim_ >= 1 && dim_ <= kMaxDim, "PhiSoA: dim=", dim_);
-    // The AVX2 kernels gather with 32-bit signed vertex indices.
-    GIRG_CHECK(n_ < (std::size_t{1} << 31U), "PhiSoA: n=", n_, " overflows i32 gathers");
-    constexpr std::size_t kDoublesPerLine = 8;  // 64 bytes
-    stride_ = (n_ + kDoublesPerLine - 1) / kDoublesPerLine * kDoublesPerLine;
-    storage_.resize(stride_ * static_cast<std::size_t>(dim_ + 1));
-    double* weight_out = storage_.data();
-    for (std::size_t v = 0; v < n_; ++v) weight_out[v] = weights[v];
-    for (int axis = 0; axis < dim_; ++axis) {
-        double* axis_out = storage_.data() + static_cast<std::size_t>(axis + 1) * stride_;
-        for (std::size_t v = 0; v < n_; ++v) {
-            axis_out[v] = positions.coords[v * static_cast<std::size_t>(dim_) +
-                                           static_cast<std::size_t>(axis)];
-        }
+               "PhiRecords: ", n_, " weights vs ", positions.coords.size(), " coords of dim ",
+               dim_);
+    GIRG_CHECK(fits_i32_gather(n_, dim_), "PhiRecords: n=", n_, " records of dim ", dim_,
+               " overflow i32 gather indices");
+    stride_ = stride_for(dim_);
+    const auto d = static_cast<std::size_t>(dim_);
+    storage_.reset(static_cast<double*>(::operator new(memory_bytes(), kAlignment)));
+    double* out = storage_.get();
+    for (std::size_t v = 0; v < n_; ++v, out += stride_) {
+        const double* x = positions.coords.data() + v * d;
+        for (std::size_t axis = 0; axis < d; ++axis) out[axis] = x[axis];
+        out[d] = weights[v];
+        for (std::size_t pad = d + 1; pad < stride_; ++pad) out[pad] = 0.0;
     }
+}
+
+PhiKernelCtx::PhiKernelCtx(const Girg& girg, const PhiRecords& records, Vertex target)
+    : records(records.data()),
+      wn(girg.params.wmin * girg.params.n),
+      dim(records.dim()),
+      target(target) {
+    GIRG_CHECK(records.size() == girg.weights.size() && records.dim() == girg.params.dim,
+               "PhiKernelCtx: records of ", records.size(), " vertices, dim ", records.dim(),
+               " for a graph of ", girg.weights.size(), ", dim ", girg.params.dim);
+    GIRG_CHECK(target < records.size(), "phi target ", target, " >= n=", records.size());
+    const double* t = girg.position(target);
+    for (int axis = 0; axis < dim; ++axis) target_position[axis] = t[axis];
 }
 
 namespace {
 
 using detail::phi_compute_lane;
-using detail::phi_probe_or_compute;
 
 template <Norm N, int D>
 void phi_values_scalar(const PhiKernelCtx& ctx, const Vertex* vs, std::size_t count,
                        double* out) {
-    if (ctx.touched->empty()) {
-        // Cold bulk fast path: nothing is memoized yet, so skip the
-        // per-element NaN probe and compute every lane straight through.
-        // Phi is pure, so a vertex duplicated inside the span recomputes
-        // the identical bits its earlier occurrence just memoized.
-        for (std::size_t i = 0; i < count; ++i) {
-            const Vertex v = vs[i];
-            const double value = phi_compute_lane<N, D>(ctx, v);
-            ctx.memo[v] = value;
-            ctx.touched->push_back(v);
-            out[i] = value;
-        }
-        return;
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-        out[i] = phi_probe_or_compute<phi_compute_lane<N, D>>(ctx, vs[i]);
-    }
+    for (std::size_t i = 0; i < count; ++i) out[i] = phi_compute_lane<N, D>(ctx, vs[i]);
 }
 
 template <Norm N, int D>
 PhiBestLane phi_best_scalar(const PhiKernelCtx& ctx, const Vertex* vs, std::size_t count) {
     PhiBestLane best;
     for (std::size_t i = 0; i < count; ++i) {
-        const double value = phi_probe_or_compute<phi_compute_lane<N, D>>(ctx, vs[i]);
+        const double value = phi_compute_lane<N, D>(ctx, vs[i]);
         if (best.index == PhiBestLane::kNone || value > best.value) {
             best.index = i;
             best.value = value;

@@ -1,11 +1,11 @@
 // AVX2 phi kernels: 8-wide batched evaluation (two 4-lane gather halves per
 // iteration) and a first-maximum argmax over a neighbor span, bit-identical
-// to the scalar kernels in phi_soa.cpp — same wrapped-distance form, same
+// to the scalar kernels in phi_records.cpp — same wrapped-distance form, same
 // operation order, no FMA contraction (the build pins -ffp-contract=off on
 // this TU and never enables -mfma).
 //
 // Scalar-equivalence test: tests/phi_simd_test.cpp
-#include "girg/phi_soa.h"
+#include "girg/phi_records.h"
 
 #if defined(SMALLWORLD_PHI_AVX2)
 
@@ -25,16 +25,20 @@ inline __m256d abs_pd(__m256d x) noexcept {
     return _mm256_andnot_pd(_mm256_set1_pd(-0.0), x);
 }
 
-/// Phi for four lanes gathered by 32-bit vertex ids. No target or
+/// Phi for vs[i..i+4), each lane gathered from its vertex's record at
+/// index v * stride (PhiRecords::fits_i32_gather bounds it). No target or
 /// zero-distance lane masking is needed: both collapse to dist_pow_d == 0,
 /// and IEEE w/(wn*0) == +inf is exactly the value the scalar early returns
 /// produce (weights and wn are strictly positive).
 template <Norm N, int D>
-inline __m256d compute4(const PhiKernelCtx& ctx, __m128i idx) noexcept {
+inline __m256d lanes4(const PhiKernelCtx& ctx, const Vertex* vs, std::size_t i) noexcept {
+    constexpr int kShift = std::countr_zero(PhiRecords::stride_for(D));
+    const __m128i idx = _mm_slli_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(vs + i)), kShift);
     const __m256d one = _mm256_set1_pd(1.0);
     __m256d dist = _mm256_setzero_pd();
     for (int axis = 0; axis < D; ++axis) {
-        const __m256d coord = _mm256_i32gather_pd(ctx.axes[axis], idx, 8);
+        const __m256d coord = _mm256_i32gather_pd(ctx.records + axis, idx, 8);
         const __m256d target = _mm256_set1_pd(ctx.target_position[axis]);
         const __m256d diff = abs_pd(_mm256_sub_pd(coord, target));
         // min(diff, 1-diff) == the scalar branch for diff in [0, 1).
@@ -47,33 +51,9 @@ inline __m256d compute4(const PhiKernelCtx& ctx, __m128i idx) noexcept {
     }
     if constexpr (N != Norm::kMax) dist = _mm256_sqrt_pd(dist);
     __m256d dist_pow_d = dist;
-    for (int i = 1; i < D; ++i) dist_pow_d = _mm256_mul_pd(dist_pow_d, dist);
-    const __m256d weight = _mm256_i32gather_pd(ctx.weights, idx, 8);
+    for (int p = 1; p < D; ++p) dist_pow_d = _mm256_mul_pd(dist_pow_d, dist);
+    const __m256d weight = _mm256_i32gather_pd(ctx.records + D, idx, 8);
     return _mm256_div_pd(weight, _mm256_mul_pd(_mm256_set1_pd(ctx.wn), dist_pow_d));
-}
-
-/// Four memoized phi values for vs[i..i+4): gather the memo lanes, detect
-/// unmemoized lanes via an unordered self-compare (NaN is the only sentinel
-/// in the table), compute misses vectorized, write each missed lane back and
-/// log it, and blend hits with computed misses.
-template <Norm N, int D>
-inline __m256d lanes4(const PhiKernelCtx& ctx, const Vertex* vs, std::size_t i) {
-    const __m128i idx = _mm_loadu_si128(reinterpret_cast<const __m128i*>(vs + i));
-    const __m256d memo = _mm256_i32gather_pd(ctx.memo, idx, 8);
-    const __m256d miss = _mm256_cmp_pd(memo, memo, _CMP_UNORD_Q);
-    const int miss_mask = _mm256_movemask_pd(miss);
-    if (miss_mask == 0) return memo;
-    const __m256d computed = compute4<N, D>(ctx, idx);
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, computed);
-    for (int lane = 0; lane < 4; ++lane) {
-        if ((miss_mask & (1 << lane)) != 0) {
-            const Vertex v = vs[i + static_cast<std::size_t>(lane)];
-            ctx.memo[v] = lanes[lane];
-            ctx.touched->push_back(v);
-        }
-    }
-    return _mm256_blendv_pd(memo, computed, miss);
 }
 
 /// Maximum of the four lanes, bit-exact: max_pd returns one of its inputs
@@ -96,9 +76,7 @@ void phi_values_avx2(const PhiKernelCtx& ctx, const Vertex* vs, std::size_t coun
         _mm256_storeu_pd(out + i, lanes4<N, D>(ctx, vs, i));
         i += 4;
     }
-    for (; i < count; ++i) {
-        out[i] = phi_probe_or_compute<phi_compute_lane<N, D>>(ctx, vs[i]);
-    }
+    for (; i < count; ++i) out[i] = phi_compute_lane<N, D>(ctx, vs[i]);
 }
 
 /// First-max argmax. Tie-break proof sketch: the scalar scan updates only on
@@ -140,7 +118,7 @@ PhiBestLane phi_best_avx2(const PhiKernelCtx& ctx, const Vertex* vs, std::size_t
         i += 4;
     }
     for (; i < count; ++i) {
-        const double value = phi_probe_or_compute<phi_compute_lane<N, D>>(ctx, vs[i]);
+        const double value = phi_compute_lane<N, D>(ctx, vs[i]);
         if (best.index == PhiBestLane::kNone || value > best.value) {
             best.index = i;
             best.value = value;

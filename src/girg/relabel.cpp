@@ -102,8 +102,8 @@ void morton_relabel(Girg& girg, std::size_t movable_prefix) {
     if (movable_prefix > n) movable_prefix = n;
     const PageVector<Vertex> new_ids = morton_order(girg.positions, movable_prefix);
     apply_relabeling(new_ids, girg.weights, girg.positions);
-    // The permutation mutated the attribute arrays in place: any cached SoA
-    // attribute planes now describe the old vertex order.
+    // The permutation mutated the attribute arrays in place: any cached
+    // vertex records now describe the old vertex order.
     girg.invalidate_phi_soa();
 
     // Stream the CSR's edges through a relabeling sink instead of

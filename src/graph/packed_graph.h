@@ -25,7 +25,7 @@ namespace smallworld {
 /// no decode) or as per-vertex delta-varint blocks (Morton relabeling makes
 /// neighbor gaps small, so LEB128 gap coding shrinks the rows 2-4x).
 /// Attribute sections carry the weights and coordinates that feed the
-/// PhiSoA planes, so a routing process needs nothing but the pack.
+/// phi vertex records, so a routing process needs nothing but the pack.
 ///
 /// Compatibility policy: the version is bumped on any layout change; readers
 /// reject packs whose version or endian tag they do not match, via

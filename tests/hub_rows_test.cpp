@@ -39,7 +39,7 @@
 #include "girg/pack_io.h"
 #include "girg/params.h"
 #include "girg/phi_evaluator.h"
-#include "girg/phi_soa.h"
+#include "girg/phi_records.h"
 #include "graph/components.h"
 #include "graph/graph.h"
 #include "graph/packed_graph.h"
@@ -153,35 +153,33 @@ std::vector<double> floors_for(const Girg& girg, Vertex holder, Vertex target) {
     return {-kInf, best.value, middle, above};
 }
 
-/// The summary's pruned argmax on its own, with a fresh memo: the lane and
-/// how many row entries it evaluated (one memo write each).
+/// The summary's pruned argmax on its own: the lane and how many row
+/// entries it evaluated.
 struct SummaryRun {
     PhiBestLane lane;
     std::size_t evaluated = 0;
 };
 
+/// counting_best forwards to this kernel and adds the entries it hands it.
+const PhiKernelOps* counted_kernel = nullptr;
+std::size_t counted_entries = 0;
+
+PhiBestLane counting_best(const PhiKernelCtx& ctx, const Vertex* vs, std::size_t count) {
+    counted_entries += count;
+    return counted_kernel->best(ctx, vs, count);
+}
+
 SummaryRun run_summary(const Girg& girg, PhiKernel kernel, Vertex holder, Vertex target,
                        double floor) {
     const std::shared_ptr<const HubRowSummary> hubs = girg.hub_rows();
-    const std::shared_ptr<const PhiSoA> soa = girg.phi_soa();
-    EXPECT_TRUE(hubs->built_from(girg.graph, soa.get()));
-    std::vector<double> memo(girg.num_vertices(), std::numeric_limits<double>::quiet_NaN());
-    std::vector<Vertex> touched;
-    PhiKernelCtx ctx;
-    ctx.weights = soa->weight_plane();
-    ctx.wn = girg.params.wmin * girg.params.n;
-    ctx.dim = girg.params.dim;
-    ctx.target = target;
-    for (int axis = 0; axis < ctx.dim; ++axis) {
-        ctx.axes[axis] = soa->axis_plane(axis);
-        ctx.target_position[axis] = girg.position(target)[axis];
-    }
-    ctx.memo = memo.data();
-    ctx.touched = &touched;
-    const PhiKernelOps& ops = phi_kernel_ops(girg.params.norm, ctx.dim, kernel);
+    const std::shared_ptr<const PhiRecords> records = girg.phi_soa();
+    EXPECT_TRUE(hubs->built_from(girg.graph, records.get()));
+    const PhiKernelCtx ctx(girg, *records, target);
+    counted_kernel = &phi_kernel_ops(girg.params.norm, ctx.dim, kernel);
+    counted_entries = 0;
     SummaryRun run;
-    run.lane = hubs->best_above(ctx, ops.best, holder, girg.graph.neighbors(holder), floor);
-    run.evaluated = touched.size();
+    run.lane = hubs->best_above(ctx, counting_best, holder, girg.graph.neighbors(holder), floor);
+    run.evaluated = counted_entries;
     return run;
 }
 
@@ -212,7 +210,7 @@ TEST(HubRowSummary, CoversTheRowsOfDegreeAtLeast256) {
     // ceil(k/256) coarse + ceil(k/16) fine boxes per covered row.
     EXPECT_EQ(hubs->boxes(), (1u + 16u) + (2u + 17u) + (17u + 257u));
     EXPECT_GE(hubs->memory_bytes(), hubs->boxes() * 5 * sizeof(float));
-    // Cached: the same summary until the graph or the planes change.
+    // Cached: the same summary until the graph or the records change.
     EXPECT_EQ(girg.hub_rows(), hubs);
     girg.invalidate_phi_soa();
     EXPECT_NE(girg.hub_rows(), hubs);

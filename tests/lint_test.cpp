@@ -233,7 +233,7 @@ TEST(LintRules, SimdEquivMissingMarker) {
 }
 
 TEST(LintRules, SimdEquivIgnoresNonSimdFiles) {
-    EXPECT_EQ(count_rule(lint("src/girg/phi_soa.cpp", FileKind::kSrc, "int x = 0;\n"),
+    EXPECT_EQ(count_rule(lint("src/girg/phi_records.cpp", FileKind::kSrc, "int x = 0;\n"),
                          "simd-equiv"),
               0);
 }

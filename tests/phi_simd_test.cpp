@@ -8,8 +8,8 @@
 
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/greedy.h"
@@ -20,8 +20,7 @@
 #include "girg/generator.h"
 #include "girg/girg.h"
 #include "girg/phi_evaluator.h"
-#include "girg/phi_memo.h"
-#include "girg/phi_soa.h"
+#include "girg/phi_records.h"
 #include "random/rng.h"
 
 namespace smallworld {
@@ -126,9 +125,7 @@ TEST(PhiSimdTest, VectorMatchesScalarBitwise) {
 
 /// Asserts that fresh evaluators' batched values() and best_of() over `span`
 /// equal a plain loop over Girg::objective bit for bit: the value of every
-/// lane, and the first maximum in list order with its value. Separate
-/// evaluators, so values() runs on a cold memo (the bulk path) and best_of()
-/// probes entry by entry.
+/// lane, and the first maximum in list order with its value.
 void expect_span_matches_objective(const Girg& girg, Vertex target, PhiEvalMode m,
                                    const std::vector<Vertex>& span) {
     std::vector<double> expected;
@@ -150,7 +147,7 @@ void expect_span_matches_objective(const Girg& girg, Vertex target, PhiEvalMode 
     ASSERT_EQ(bits(chosen.value), bits(expected[best])) << "len=" << span.size();
 }
 
-TEST(PhiSimdTest, LegacyMatchesScalarBitwise) {
+TEST(PhiSimdTest, BatchedKernelsMatchGirgObjectiveOnRaggedSpans) {
     for (const Norm norm : {Norm::kMax, Norm::kEuclidean}) {
         for (int dim = 1; dim <= kMaxDim; ++dim) {
             const std::size_t n = 201;
@@ -229,59 +226,16 @@ TEST(PhiSimdTest, EmptySpanYieldsNoVertex) {
     EXPECT_EQ(best.value, 0.0);
 }
 
-// ------------------------------------------------------- memo and cold path
+// --------------------------------------------------------------- the records
 
-TEST(PhiSimdTest, ColdBulkPathMatchesWarmProbes) {
-    // values() on a cold memo takes the bulk-compute fast path; the same
-    // call after warming single probes takes the probe path. Both must fill
-    // the memo with identical bits — including duplicate span entries.
-    for (const Norm norm : {Norm::kMax, Norm::kEuclidean}) {
-        const std::size_t n = 97;
-        const Girg girg = make_attributes(n, 3, norm, 29);
-        const Vertex target = 50;
-        std::vector<Vertex> span;
-        for (Vertex v = 0; v < n; ++v) span.push_back(v);
-        span.push_back(13);  // duplicate recomputed by the cold path
-
-        const PhiEvaluator cold(girg, target, mode(PhiEvalMode::kScalar));
-        std::vector<double> out_cold(span.size());
-        cold.values(span, out_cold.data());
-
-        const PhiEvaluator warm(girg, target, mode(PhiEvalMode::kScalar));
-        for (Vertex v = 0; v < n; v += 3) (void)warm.value(v);  // partial warm-up
-        std::vector<double> out_warm(span.size());
-        warm.values(span, out_warm.data());
-
-        for (std::size_t i = 0; i < span.size(); ++i) {
-            ASSERT_EQ(bits(out_cold[i]), bits(out_warm[i])) << "i=" << i;
-        }
-        // Memo hits afterwards return the same bits in both evaluators.
-        for (Vertex v = 0; v < n; ++v) {
-            ASSERT_EQ(bits(cold.value(v)), bits(warm.value(v)));
-        }
-    }
-}
-
-TEST(PhiSimdTest, PooledTablesAreInvisibleInResults) {
-    const std::size_t n = 131;
-    const Girg girg = make_attributes(n, 2, Norm::kMax, 41);
-    const auto pool = std::make_shared<PhiMemoPool>();
-    std::vector<Vertex> span;
-    for (Vertex v = 0; v < n; ++v) span.push_back(v);
-
-    for (const Vertex target : {Vertex{5}, Vertex{77}, Vertex{130}, Vertex{5}}) {
-        PhiOptions pooled;
-        pooled.mode = PhiEvalMode::kScalar;
-        pooled.pool = pool;  // recycles the previous iteration's table
-        const PhiEvaluator recycled(girg, target, pooled);
-        const PhiEvaluator fresh(girg, target, mode(PhiEvalMode::kScalar));
-        std::vector<double> out_recycled(n);
-        std::vector<double> out_fresh(n);
-        recycled.values(span, out_recycled.data());
-        fresh.values(span, out_fresh.data());
-        for (std::size_t i = 0; i < n; ++i) {
-            ASSERT_EQ(bits(out_recycled[i]), bits(out_fresh[i])) << "i=" << i;
-        }
+TEST(PhiSimdTest, GatherBoundFollowsTheRecordStride) {
+    // The AVX2 kernels gather record v at index v * stride in i32 lanes, so
+    // n * stride must stay below 2^31: strides 2, 4, 4 and 8 at d = 1..4.
+    const unsigned log2_limit[kMaxDim] = {30, 29, 29, 28};
+    for (int dim = 1; dim <= kMaxDim; ++dim) {
+        const std::size_t limit = std::size_t{1} << log2_limit[dim - 1];
+        EXPECT_TRUE(PhiRecords::fits_i32_gather(limit - 1, dim)) << "dim=" << dim;
+        EXPECT_FALSE(PhiRecords::fits_i32_gather(limit, dim)) << "dim=" << dim;
     }
 }
 

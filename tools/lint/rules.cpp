@@ -208,7 +208,7 @@ constexpr std::string_view kPowHotFiles[] = {
     "girg/phi_evaluator.h", "girg/edge_probability.h", "girg/fast_sampler.cpp",
     "girg/naive_sampler.cpp", "core/objective.cpp",    "core/greedy.cpp",
     "core/phi_dfs.cpp",      "core/router.cpp",        "graph/bfs.cpp",
-    "geometry/torus.h",      "girg/phi_soa.h",         "girg/phi_soa.cpp",
+    "geometry/torus.h",      "girg/phi_records.h",     "girg/phi_records.cpp",
     "girg/phi_simd_avx2.cpp", "girg/phi_memo.h",       "girg/phi_kernels_inl.h",
 };
 
